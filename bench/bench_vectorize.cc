@@ -3,8 +3,9 @@
 // Measures, on the case-study candidate set and feature set:
 //   - prep_ms:        one cold PrepCache pass over every (column, prep spec)
 //                     the feature set binds (the amortized one-time cost)
-//   - vectorize_legacy:   VectorizePairsUnprepared — per-pair normalize +
-//                         tokenize + hash-set scoring (the pre-kernel path)
+//   - vectorize_legacy:   oracle::VectorizePairsUnprepared (tests/oracle) —
+//                         per-pair normalize + tokenize + hash-set scoring
+//                         (the pre-kernel path)
 //   - vectorize_prepared: VectorizePairs against a warm cache — merge-based
 //                         id-span scoring, zero per-pair prep
 // at 1 thread (the headline before/after), then sweeps the prepared path
@@ -41,6 +42,7 @@
 #include "src/prep/prepared_column.h"
 #include "src/table/table.h"
 #include "src/text/tokenizer.h"
+#include "tests/oracle/feature_oracle.h"
 
 namespace {
 
@@ -67,14 +69,7 @@ void WarmCache(const Table& left, const Table& right, const FeatureSet& features
     auto lcol = left.ColumnByName(f.left_attr);
     auto rcol = right.ColumnByName(f.right_attr);
     if (!lcol.ok() || !rcol.ok()) std::abort();
-    std::unique_ptr<Tokenizer> tok;
-    if (f.prep.tokenize) {
-      if (f.prep.qgram > 0) {
-        tok = std::make_unique<QgramTokenizer>(f.prep.qgram);
-      } else {
-        tok = std::make_unique<WhitespaceTokenizer>();
-      }
-    }
+    std::unique_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
     PrepOptions opts{f.prep.lowercase, /*strip_punctuation=*/false};
     cache->Get(**lcol, opts, tok.get());
     cache->Get(**rcol, opts, tok.get());
@@ -109,7 +104,8 @@ Measurement Measure(const Table& left, const Table& right,
   });
 
   m.legacy_ms = TimeMs([&] {
-    auto r = VectorizePairsUnprepared(left, right, pairs, features, ctx1);
+    auto r =
+        oracle::VectorizePairsUnprepared(left, right, pairs, features, ctx1);
     if (!r.ok() || r->rows.empty()) std::abort();
   });
 

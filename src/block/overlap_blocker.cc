@@ -217,13 +217,15 @@ Result<CandidateSet> OverlapBlocker::Block(const Table& left,
                        right.ColumnByName(options_.right_attr));
   PreparedPair p =
       PrepareJoinColumns(*lcol, *rcol, options_, *tokenizer_, prep_cache_);
-  size_t k = min_overlap_;
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
   return internal_block::PartitionedOverlapJoin(
-      *p.left, *p.right,
-      [k](size_t, size_t, size_t overlap) { return overlap >= k; },
-      /*min_left_tokens=*/k, budget, ctx);
+      *p.left, *p.right, keep(), min_left_tokens(), budget, ctx);
+}
+
+internal_block::OverlapKeepFn OverlapBlocker::keep() const {
+  size_t k = min_overlap_;
+  return [k](size_t, size_t, size_t overlap) { return overlap >= k; };
 }
 
 std::string OverlapBlocker::name() const {
@@ -247,17 +249,19 @@ Result<CandidateSet> OverlapCoefficientBlocker::Block(
                        right.ColumnByName(options_.right_attr));
   PreparedPair p =
       PrepareJoinColumns(*lcol, *rcol, options_, *tokenizer_, prep_cache_);
-  double t = threshold_;
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
   return internal_block::PartitionedOverlapJoin(
-      *p.left, *p.right,
-      [t](size_t la, size_t lb, size_t overlap) {
-        size_t mn = std::min(la, lb);
-        if (mn == 0) return false;
-        return static_cast<double>(overlap) >= t * static_cast<double>(mn);
-      },
-      /*min_left_tokens=*/1, budget, ctx);
+      *p.left, *p.right, keep(), min_left_tokens(), budget, ctx);
+}
+
+internal_block::OverlapKeepFn OverlapCoefficientBlocker::keep() const {
+  double t = threshold_;
+  return [t](size_t la, size_t lb, size_t overlap) {
+    size_t mn = std::min(la, lb);
+    if (mn == 0) return false;
+    return static_cast<double>(overlap) >= t * static_cast<double>(mn);
+  };
 }
 
 std::string OverlapCoefficientBlocker::name() const {

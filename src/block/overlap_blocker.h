@@ -12,6 +12,15 @@
 
 namespace emx {
 
+namespace internal_block {
+
+// `keep(left_size, right_size, overlap)` decides whether a probed pair
+// becomes a candidate; sizes are token counts (per-occurrence, i.e. set
+// sizes under unique tokenizers).
+using OverlapKeepFn = std::function<bool(size_t, size_t, size_t)>;
+
+}  // namespace internal_block
+
 // Shared options for token-overlap-style blockers: which attribute to
 // tokenize and how to normalize it first (the paper lowercases and strips
 // special characters before overlap blocking, §7 steps 2-3).
@@ -61,6 +70,11 @@ class OverlapBlocker : public Blocker {
   size_t min_overlap() const { return min_overlap_; }
   const std::shared_ptr<Tokenizer>& tokenizer() const { return tokenizer_; }
 
+  // The join's keep predicate (overlap >= K), and the left token count
+  // below which it cannot pass (K), so such records skip the probe.
+  internal_block::OverlapKeepFn keep() const;
+  size_t min_left_tokens() const { return min_overlap_; }
+
  private:
   OverlapBlockerOptions options_;
   size_t min_overlap_;
@@ -90,6 +104,11 @@ class OverlapCoefficientBlocker : public Blocker {
   double threshold() const { return threshold_; }
   const std::shared_ptr<Tokenizer>& tokenizer() const { return tokenizer_; }
 
+  // The join's keep predicate (overlap >= threshold * min(|A|, |B|), never
+  // for an empty side), and its probe prune: only empty left rows.
+  internal_block::OverlapKeepFn keep() const;
+  size_t min_left_tokens() const { return 1; }
+
  private:
   OverlapBlockerOptions options_;
   double threshold_;
@@ -105,11 +124,6 @@ namespace internal_block {
 std::vector<std::vector<std::string>> TokenizeColumn(
     const std::vector<Value>& column, const OverlapBlockerOptions& options,
     const Tokenizer& tokenizer);
-
-// `keep(left_size, right_size, overlap)` decides whether a probed pair
-// becomes a candidate; sizes are token counts (per-occurrence, i.e. set
-// sizes under unique tokenizers).
-using OverlapKeepFn = std::function<bool(size_t, size_t, size_t)>;
 
 // Legacy string-keyed overlap join (unordered_map inverted index,
 // per-probe hashing). Equivalence oracle only.

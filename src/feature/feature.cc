@@ -2,14 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "src/core/strings.h"
 #include "src/text/batch_kernel.h"
 #include "src/text/numeric_similarity.h"
-#include "src/text/phonetic.h"
-#include "src/text/sequence_similarity.h"
 #include "src/text/set_similarity.h"
-#include "src/text/tokenizer.h"
 
 namespace emx {
 
@@ -17,81 +15,33 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// Normalized view of a value for the legacy per-pair path. String values
-// needing no lowercasing are viewed in place — no copy; everything else
-// (numerics to format, strings to lowercase) materializes into `buf`.
-std::string_view PrepView(const Value& v, bool lowercase, std::string* buf) {
-  if (!lowercase && v.is_string()) return v.AsStringView();
-  *buf = v.AsString();
-  if (lowercase) {
-    for (char& c : *buf) {
-      if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
-    }
-  }
-  return *buf;
-}
-
-// Builds a string feature: scorer over two normalized strings, evaluable
-// per pair (fn), against cached prepped columns (prep_fn), or a whole
-// column at a time (batch_fn, when the measure has a batch kernel).
-template <typename Fn>
-Feature StringFeature(std::string name, const std::string& left_attr,
-                      const std::string& right_attr, Fn scorer,
-                      bool lowercase,
-                      Feature::BatchScoreFn batch_fn = nullptr) {
+Feature MakeFeature(std::string name, const std::string& left_attr,
+                    const std::string& right_attr, Measure measure,
+                    FeaturePrepSpec prep = {}) {
   Feature f;
   f.name = std::move(name);
   f.left_attr = left_attr;
   f.right_attr = right_attr;
-  f.fn = [scorer, lowercase](const Value& a, const Value& b) -> double {
-    if (a.is_null() || b.is_null()) return kNaN;
-    std::string ba, bb;
-    return scorer(PrepView(a, lowercase, &ba), PrepView(b, lowercase, &bb));
-  };
-  f.prep = {lowercase, /*tokenize=*/false, /*qgram=*/0};
-  f.prep_fn = [scorer](const PreparedColumn& lc, size_t i,
-                       const PreparedColumn& rc, size_t j) -> double {
-    if (lc.is_null(i) || rc.is_null(j)) return kNaN;
-    return scorer(lc.text(i), rc.text(j));
-  };
-  f.batch_fn = batch_fn;
+  f.measure = measure;
+  f.prep = prep;
   return f;
 }
 
-// Builds a token-set feature: `scorer` runs the legacy path over token
-// strings, `id_scorer` the merge kernel over the cached sorted id spans.
-// Both reduce to the same (|A|, |B|, |A ∩ B|), so results are bit-identical.
-template <typename Fn, typename IdFn>
-Feature TokenSetFeature(std::string name, const std::string& left_attr,
-                        const std::string& right_attr, Fn scorer,
-                        IdFn id_scorer, int qgram, bool lowercase) {
-  Feature f;
-  f.name = std::move(name);
-  f.left_attr = left_attr;
-  f.right_attr = right_attr;
-  f.fn = [scorer, qgram, lowercase](const Value& a,
-                                    const Value& b) -> double {
-    if (a.is_null() || b.is_null()) return kNaN;
-    std::string ba, bb;
-    std::vector<std::string> ta, tb;
-    if (qgram > 0) {
-      QgramTokenizer tok(qgram);
-      ta = tok.Tokenize(PrepView(a, lowercase, &ba));
-      tb = tok.Tokenize(PrepView(b, lowercase, &bb));
-    } else {
-      WhitespaceTokenizer tok;
-      ta = tok.Tokenize(PrepView(a, lowercase, &ba));
-      tb = tok.Tokenize(PrepView(b, lowercase, &bb));
-    }
-    return scorer(ta, tb);
-  };
-  f.prep = {lowercase, /*tokenize=*/true, qgram};
-  f.prep_fn = [id_scorer](const PreparedColumn& lc, size_t i,
-                          const PreparedColumn& rc, size_t j) -> double {
-    if (lc.is_null(i) || rc.is_null(j)) return kNaN;
-    return id_scorer(lc.ids(i), rc.ids(j));
-  };
-  return f;
+// A character-sequence feature scores the normalized text, untokenized.
+Feature TextFeature(std::string name, const std::string& left_attr,
+                    const std::string& right_attr, Measure measure,
+                    bool lowercase) {
+  return MakeFeature(std::move(name), left_attr, right_attr, measure,
+                     {lowercase, /*tokenize=*/false, /*qgram=*/0});
+}
+
+// A token feature scores its values' tokens: the set measures their sorted
+// id spans, Monge-Elkan the token strings.
+Feature TokenFeature(std::string name, const std::string& left_attr,
+                     const std::string& right_attr, Measure measure,
+                     int qgram, bool lowercase) {
+  return MakeFeature(std::move(name), left_attr, right_attr, measure,
+                     {lowercase, /*tokenize=*/true, qgram});
 }
 
 std::string TokName(int qgram) {
@@ -132,224 +82,269 @@ bool ExtractYear(const std::string& s, int* year) {
   return false;
 }
 
+using BatchKernel = void (*)(const std::string_view* a,
+                             const std::string_view* b, size_t n,
+                             double* out);
+
+// Binds the default prefix scale, which makes it a BatchKernel.
+void JaroWinklerBatch(const std::string_view* a, const std::string_view* b,
+                      size_t n, double* out) {
+  JaroWinklerSimilarityBatch(a, b, n, out);
+}
+
+// Null lanes score NaN directly; the rest gather into contiguous view
+// arrays for one batch-kernel call, whose scores scatter back to their
+// lanes.
+void ScoreText(BatchKernel kernel, const FeatureSide& l, const FeatureSide& r,
+               size_t n, double* out) {
+  // Staging reused across calls on this thread.
+  thread_local std::vector<std::string_view> ga, gb;
+  thread_local std::vector<double> scores;
+  thread_local std::vector<uint32_t> lanes;
+  ga.clear();
+  gb.clear();
+  lanes.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (l.prep->is_null(l.rows[i]) || r.prep->is_null(r.rows[i])) {
+      out[i] = kNaN;
+    } else {
+      lanes.push_back(static_cast<uint32_t>(i));
+      ga.push_back(l.prep->text(l.rows[i]));
+      gb.push_back(r.prep->text(r.rows[i]));
+    }
+  }
+  scores.resize(ga.size());
+  kernel(ga.data(), gb.data(), ga.size(), scores.data());
+  for (size_t k = 0; k < lanes.size(); ++k) out[lanes[k]] = scores[k];
+}
+
+// out[i] = score(left prep, left row, right prep, right row), NaN when
+// either row is null.
+template <typename Fn>
+void ScorePrepared(const FeatureSide& l, const FeatureSide& r, size_t n,
+                   double* out, Fn score) {
+  for (size_t i = 0; i < n; ++i) {
+    size_t a = l.rows[i], b = r.rows[i];
+    out[i] = l.prep->is_null(a) || r.prep->is_null(b)
+                 ? kNaN
+                 : score(*l.prep, a, *r.prep, b);
+  }
+}
+
+// Set measures reduce both id spans to (|A|, |B|, |A ∩ B|) by one merge.
+template <typename Fn>
+void ScoreSpans(const FeatureSide& l, const FeatureSide& r, size_t n,
+                double* out, Fn kernel) {
+  ScorePrepared(l, r, n, out,
+                [&](const PreparedColumn& lc, size_t a,
+                    const PreparedColumn& rc, size_t b) {
+                  return kernel(lc.ids(a), rc.ids(b));
+                });
+}
+
+// Monge-Elkan runs Jaro-Winkler between token STRINGS, in tokenizer-emission
+// order (the summation order of the per-pair definition).
+double MongeElkan(const PreparedColumn& lc, size_t i, const PreparedColumn& rc,
+                  size_t j) {
+  size_t na = 0, nb = 0;
+  const std::string* ta = lc.tokens(i, &na);
+  const std::string* tb = rc.tokens(j, &nb);
+  if (lc.interner_uid() == rc.interner_uid()) {
+    // Same interner (same PrepCache, the documented contract): memoize the
+    // token-level Jaro-Winkler by id pair — bit-identical, just not
+    // recomputed for every candidate pair sharing a record.
+    size_t ia = 0, ib = 0;
+    return MongeElkanSimilarityMemo(ta, lc.emission_ids(i, &ia), na, tb,
+                                    rc.emission_ids(j, &ib), nb,
+                                    lc.interner_uid());
+  }
+  return MongeElkanSimilarity(ta, na, tb, nb);
+}
+
+// out[i] = fn(left value, right value) over the raw Values; `fn` owns its
+// null handling.
+template <typename Fn>
+void ScoreValues(const FeatureSide& l, const FeatureSide& r, size_t n,
+                 double* out, Fn fn) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = fn(l.values[l.rows[i]], r.values[r.rows[i]]);
+  }
+}
+
+// Numeric measures: NaN unless both sides are numeric (strings are not
+// coerced).
+template <typename Fn>
+void ScoreNumeric(const FeatureSide& l, const FeatureSide& r, size_t n,
+                  double* out, Fn fn) {
+  ScoreValues(l, r, n, out, [&](const Value& a, const Value& b) {
+    if (!a.is_numeric() || !b.is_numeric()) return kNaN;
+    return fn(a.AsDouble(), b.AsDouble());
+  });
+}
+
+double YearDiff(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return kNaN;
+  int ya = 0, yb = 0;
+  if (!ExtractYear(a.AsString(), &ya) || !ExtractYear(b.AsString(), &yb)) {
+    return kNaN;
+  }
+  return std::abs(ya - yb);
+}
+
 }  // namespace
+
+void ScoreFeature(const Feature& feature, const FeatureSide& left,
+                  const FeatureSide& right, size_t n, double* out) {
+  if (n == 0) return;
+  switch (feature.measure) {
+    case Measure::kExact:
+      return ScoreText(&ExactMatchBatch, left, right, n, out);
+    case Measure::kLevenshtein:
+      return ScoreText(&LevenshteinSimilarityBatch, left, right, n, out);
+    case Measure::kJaro:
+      return ScoreText(&JaroSimilarityBatch, left, right, n, out);
+    case Measure::kJaroWinkler:
+      return ScoreText(&JaroWinklerBatch, left, right, n, out);
+    case Measure::kNeedlemanWunsch:
+      return ScoreText(&NeedlemanWunschSimilarityBatch, left, right, n, out);
+    case Measure::kSmithWaterman:
+      return ScoreText(&SmithWatermanSimilarityBatch, left, right, n, out);
+    case Measure::kAffineGap:
+      return ScoreText(&AffineGapSimilarityBatch, left, right, n, out);
+    case Measure::kJaccard:
+      return ScoreSpans(left, right, n, out, [](IdSpan a, IdSpan b) {
+        return JaccardSimilarity(a, b);
+      });
+    case Measure::kCosine:
+      return ScoreSpans(left, right, n, out, [](IdSpan a, IdSpan b) {
+        return CosineSimilarity(a, b);
+      });
+    case Measure::kDice:
+      return ScoreSpans(left, right, n, out, [](IdSpan a, IdSpan b) {
+        return DiceSimilarity(a, b);
+      });
+    case Measure::kOverlapCoefficient:
+      return ScoreSpans(left, right, n, out, [](IdSpan a, IdSpan b) {
+        return OverlapCoefficient(a, b);
+      });
+    case Measure::kMongeElkan:
+      return ScorePrepared(left, right, n, out, &MongeElkan);
+    case Measure::kAbsDiff:
+      return ScoreNumeric(left, right, n, out, &AbsoluteDifference);
+    case Measure::kRelativeSim:
+      return ScoreNumeric(left, right, n, out, &RelativeSimilarity);
+    case Measure::kNumericExact:
+      return ScoreNumeric(left, right, n, out, &NumericExactMatch);
+    case Measure::kYearDiff:
+      return ScoreValues(left, right, n, out, &YearDiff);
+  }
+}
 
 Feature MakeExactMatchFeature(const std::string& left_attr,
                               const std::string& right_attr, bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "exact", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) { return ExactMatch(a, b); },
-      lowercase, &ExactMatchBatch);
+  return TextFeature(FeatName(left_attr, "exact", lowercase), left_attr,
+                     right_attr, Measure::kExact, lowercase);
 }
 
 Feature MakeLevenshteinFeature(const std::string& left_attr,
                                const std::string& right_attr, bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "lev", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) {
-        return LevenshteinSimilarity(a, b);
-      },
-      lowercase, &LevenshteinSimilarityBatch);
+  return TextFeature(FeatName(left_attr, "lev", lowercase), left_attr,
+                     right_attr, Measure::kLevenshtein, lowercase);
 }
 
 Feature MakeJaroFeature(const std::string& left_attr,
                         const std::string& right_attr, bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "jaro", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) {
-        return JaroSimilarity(a, b);
-      },
-      lowercase, &JaroSimilarityBatch);
+  return TextFeature(FeatName(left_attr, "jaro", lowercase), left_attr,
+                     right_attr, Measure::kJaro, lowercase);
 }
 
 Feature MakeJaroWinklerFeature(const std::string& left_attr,
                                const std::string& right_attr, bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "jwn", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) {
-        return JaroWinklerSimilarity(a, b);
-      },
-      lowercase,
-      +[](const std::string_view* a, const std::string_view* b, size_t n,
-          double* out) { JaroWinklerSimilarityBatch(a, b, n, out); });
+  return TextFeature(FeatName(left_attr, "jwn", lowercase), left_attr,
+                     right_attr, Measure::kJaroWinkler, lowercase);
 }
 
 Feature MakeNeedlemanWunschFeature(const std::string& left_attr,
                                    const std::string& right_attr,
                                    bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "nmw", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) {
-        return NeedlemanWunschSimilarity(a, b);
-      },
-      lowercase, &NeedlemanWunschSimilarityBatch);
+  return TextFeature(FeatName(left_attr, "nmw", lowercase), left_attr,
+                     right_attr, Measure::kNeedlemanWunsch, lowercase);
 }
 
 Feature MakeSmithWatermanFeature(const std::string& left_attr,
                                  const std::string& right_attr,
                                  bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "sw", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) {
-        return SmithWatermanSimilarity(a, b);
-      },
-      lowercase, &SmithWatermanSimilarityBatch);
+  return TextFeature(FeatName(left_attr, "sw", lowercase), left_attr,
+                     right_attr, Measure::kSmithWaterman, lowercase);
 }
 
 Feature MakeAffineGapFeature(const std::string& left_attr,
                              const std::string& right_attr, bool lowercase) {
-  return StringFeature(
-      FeatName(left_attr, "ag", lowercase), left_attr, right_attr,
-      [](std::string_view a, std::string_view b) {
-        return AffineGapSimilarity(a, b);
-      },
-      lowercase, &AffineGapSimilarityBatch);
+  return TextFeature(FeatName(left_attr, "ag", lowercase), left_attr,
+                     right_attr, Measure::kAffineGap, lowercase);
 }
 
 Feature MakeJaccardFeature(const std::string& left_attr,
                            const std::string& right_attr, int qgram,
                            bool lowercase) {
-  return TokenSetFeature(
-      FeatName(left_attr, "jac_" + TokName(qgram), lowercase), left_attr,
-      right_attr,
-      [](const std::vector<std::string>& a, const std::vector<std::string>& b) {
-        return JaccardSimilarity(a, b);
-      },
-      [](IdSpan a, IdSpan b) { return JaccardSimilarity(a, b); }, qgram,
-      lowercase);
+  return TokenFeature(FeatName(left_attr, "jac_" + TokName(qgram), lowercase),
+                      left_attr, right_attr, Measure::kJaccard, qgram,
+                      lowercase);
 }
 
 Feature MakeCosineFeature(const std::string& left_attr,
                           const std::string& right_attr, int qgram,
                           bool lowercase) {
-  return TokenSetFeature(
-      FeatName(left_attr, "cos_" + TokName(qgram), lowercase), left_attr,
-      right_attr,
-      [](const std::vector<std::string>& a, const std::vector<std::string>& b) {
-        return CosineSimilarity(a, b);
-      },
-      [](IdSpan a, IdSpan b) { return CosineSimilarity(a, b); }, qgram,
-      lowercase);
+  return TokenFeature(FeatName(left_attr, "cos_" + TokName(qgram), lowercase),
+                      left_attr, right_attr, Measure::kCosine, qgram,
+                      lowercase);
 }
 
 Feature MakeDiceFeature(const std::string& left_attr,
                         const std::string& right_attr, int qgram,
                         bool lowercase) {
-  return TokenSetFeature(
-      FeatName(left_attr, "dice_" + TokName(qgram), lowercase), left_attr,
-      right_attr,
-      [](const std::vector<std::string>& a, const std::vector<std::string>& b) {
-        return DiceSimilarity(a, b);
-      },
-      [](IdSpan a, IdSpan b) { return DiceSimilarity(a, b); }, qgram,
-      lowercase);
+  return TokenFeature(FeatName(left_attr, "dice_" + TokName(qgram), lowercase),
+                      left_attr, right_attr, Measure::kDice, qgram, lowercase);
 }
 
 Feature MakeOverlapCoefficientFeature(const std::string& left_attr,
                                       const std::string& right_attr, int qgram,
                                       bool lowercase) {
-  return TokenSetFeature(
-      FeatName(left_attr, "ovc_" + TokName(qgram), lowercase), left_attr,
-      right_attr,
-      [](const std::vector<std::string>& a, const std::vector<std::string>& b) {
-        return OverlapCoefficient(a, b);
-      },
-      [](IdSpan a, IdSpan b) { return OverlapCoefficient(a, b); }, qgram,
-      lowercase);
+  return TokenFeature(FeatName(left_attr, "ovc_" + TokName(qgram), lowercase),
+                      left_attr, right_attr, Measure::kOverlapCoefficient,
+                      qgram, lowercase);
 }
 
 Feature MakeMongeElkanFeature(const std::string& left_attr,
                               const std::string& right_attr, bool lowercase) {
-  // Monge-Elkan needs the token STRINGS (it runs Jaro-Winkler between
-  // tokens), so its prepared path reads the column's token arrays — kept in
-  // tokenizer-emission order, which preserves the legacy summation order.
-  Feature f;
-  f.name = FeatName(left_attr, "mel", lowercase);
-  f.left_attr = left_attr;
-  f.right_attr = right_attr;
-  f.fn = [lowercase](const Value& a, const Value& b) -> double {
-    if (a.is_null() || b.is_null()) return kNaN;
-    std::string ba, bb;
-    WhitespaceTokenizer tok;
-    std::vector<std::string> ta = tok.Tokenize(PrepView(a, lowercase, &ba));
-    std::vector<std::string> tb = tok.Tokenize(PrepView(b, lowercase, &bb));
-    return MongeElkanSimilarity(ta, tb);
-  };
-  f.prep = {lowercase, /*tokenize=*/true, /*qgram=*/0};
-  f.prep_fn = [](const PreparedColumn& lc, size_t i, const PreparedColumn& rc,
-                 size_t j) -> double {
-    if (lc.is_null(i) || rc.is_null(j)) return kNaN;
-    size_t na = 0, nb = 0;
-    const std::string* ta = lc.tokens(i, &na);
-    const std::string* tb = rc.tokens(j, &nb);
-    if (lc.interner_uid() == rc.interner_uid()) {
-      // Same interner (same PrepCache, the documented contract): memoize
-      // the token-level Jaro-Winkler by id pair — bit-identical, just not
-      // recomputed for every candidate pair sharing a record.
-      size_t ia = 0, ib = 0;
-      return MongeElkanSimilarityMemo(ta, lc.emission_ids(i, &ia), na, tb,
-                                      rc.emission_ids(j, &ib), nb,
-                                      lc.interner_uid());
-    }
-    return MongeElkanSimilarity(ta, na, tb, nb);
-  };
-  return f;
+  // Monge-Elkan runs on whitespace tokens.
+  return TokenFeature(FeatName(left_attr, "mel", lowercase), left_attr,
+                      right_attr, Measure::kMongeElkan, /*qgram=*/0,
+                      lowercase);
 }
 
 Feature MakeAbsDiffFeature(const std::string& left_attr,
                            const std::string& right_attr) {
-  Feature f;
-  f.name = left_attr + "_absdiff";
-  f.left_attr = left_attr;
-  f.right_attr = right_attr;
-  f.fn = [](const Value& a, const Value& b) -> double {
-    if (!a.is_numeric() || !b.is_numeric()) return kNaN;
-    return AbsoluteDifference(a.AsDouble(), b.AsDouble());
-  };
-  return f;
+  return MakeFeature(left_attr + "_absdiff", left_attr, right_attr,
+                     Measure::kAbsDiff);
 }
 
 Feature MakeRelativeSimFeature(const std::string& left_attr,
                                const std::string& right_attr) {
-  Feature f;
-  f.name = left_attr + "_relsim";
-  f.left_attr = left_attr;
-  f.right_attr = right_attr;
-  f.fn = [](const Value& a, const Value& b) -> double {
-    if (!a.is_numeric() || !b.is_numeric()) return kNaN;
-    return RelativeSimilarity(a.AsDouble(), b.AsDouble());
-  };
-  return f;
+  return MakeFeature(left_attr + "_relsim", left_attr, right_attr,
+                     Measure::kRelativeSim);
 }
 
 Feature MakeNumericExactFeature(const std::string& left_attr,
                                 const std::string& right_attr) {
-  Feature f;
-  f.name = left_attr + "_numexact";
-  f.left_attr = left_attr;
-  f.right_attr = right_attr;
-  f.fn = [](const Value& a, const Value& b) -> double {
-    if (!a.is_numeric() || !b.is_numeric()) return kNaN;
-    return NumericExactMatch(a.AsDouble(), b.AsDouble());
-  };
-  return f;
+  return MakeFeature(left_attr + "_numexact", left_attr, right_attr,
+                     Measure::kNumericExact);
 }
 
 Feature MakeYearDiffFeature(const std::string& left_attr,
                             const std::string& right_attr) {
-  Feature f;
-  f.name = left_attr + "_yeardiff";
-  f.left_attr = left_attr;
-  f.right_attr = right_attr;
-  f.fn = [](const Value& a, const Value& b) -> double {
-    if (a.is_null() || b.is_null()) return kNaN;
-    int ya = 0, yb = 0;
-    if (!ExtractYear(a.AsString(), &ya) || !ExtractYear(b.AsString(), &yb)) {
-      return kNaN;
-    }
-    return std::abs(ya - yb);
-  };
-  return f;
+  return MakeFeature(left_attr + "_yeardiff", left_attr, right_attr,
+                     Measure::kYearDiff);
 }
 
 }  // namespace emx

@@ -1,7 +1,8 @@
 #ifndef EMX_FEATURE_FEATURE_H_
 #define EMX_FEATURE_FEATURE_H_
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,41 +19,64 @@ struct FeaturePrepSpec {
   int qgram = 0;          // when tokenizing: <= 0 whitespace, else q-grams
 };
 
+// The similarity measure a feature computes. Character-sequence measures
+// score the prepped (normalized) text, token-set measures the sorted token-id
+// spans, Monge-Elkan the emission-order token strings; numeric and date
+// measures read the raw Values and need no prep.
+enum class Measure : uint8_t {
+  kExact,
+  kLevenshtein,
+  kJaro,
+  kJaroWinkler,
+  kNeedlemanWunsch,
+  kSmithWaterman,
+  kAffineGap,
+  kJaccard,
+  kCosine,
+  kDice,
+  kOverlapCoefficient,
+  kMongeElkan,
+  // Value-backed measures (no prep) come last; has_prep() relies on it.
+  kAbsDiff,
+  kRelativeSim,
+  kNumericExact,
+  kYearDiff,
+};
+
 // One pairwise feature: compares a left-table attribute against a
 // right-table attribute and yields a double (NaN when either side is null —
 // downstream, the Imputer fills NaNs with column means, exactly the paper's
-// missing-value handling in §9).
-//
-// Every feature carries the legacy per-pair `fn` (re-normalizes and
-// re-tokenizes both values on every call — still the right tool for
-// one-off evaluations, rules, and tests). String/token features
-// ADDITIONALLY carry `prep_fn` plus the `prep` spec describing the cached
-// representation it reads: VectorizePairs preps each referenced column
-// once per spec and evaluates pairs against PreparedColumns — same doubles,
-// bit for bit, with no per-pair allocation. Both PreparedColumns passed to
-// one prep_fn call must come from the SAME PrepCache (shared interner).
+// missing-value handling in §9). Plain data: ScoreFeature evaluates it.
 struct Feature {
-  // Columnar scorer: out[i] = score of (a[i], b[i]) for n contiguous lanes
-  // of already-normalized text. Plain function pointer — every batch kernel
-  // is a stateless free function from src/text/batch_kernel.h.
-  using BatchScoreFn = void (*)(const std::string_view* a,
-                                const std::string_view* b, size_t n,
-                                double* out);
-
   std::string name;        // e.g. "AwardTitle_jac_ws"
   std::string left_attr;
   std::string right_attr;
-  std::function<double(const Value&, const Value&)> fn;
-  FeaturePrepSpec prep;    // meaningful only when prep_fn is set
-  std::function<double(const PreparedColumn&, size_t, const PreparedColumn&,
-                       size_t)>
-      prep_fn;             // empty for numeric/date features
-  BatchScoreFn batch_fn = nullptr;  // set for character-sequence features;
-                                    // bit-identical to prep_fn per lane
+  Measure measure = Measure::kExact;
+  FeaturePrepSpec prep;    // meaningful only when has_prep()
 
-  bool has_prep() const { return static_cast<bool>(prep_fn); }
-  bool has_batch() const { return batch_fn != nullptr; }
+  // False for the numeric and date measures, which read raw Values.
+  bool has_prep() const { return measure < Measure::kAbsDiff; }
 };
+
+// One side of a feature's input lanes: lane i reads row rows[i] of the raw
+// column `values` and of its prepared form `prep` (null when the feature
+// has no prep). Both are indexed by the same row, so a caller scoring a
+// one-row segment passes `values` offset to that record.
+struct FeatureSide {
+  const Value* values = nullptr;
+  const PreparedColumn* prep = nullptr;
+  const uint32_t* rows = nullptr;
+};
+
+// The one scoring path: out[i] = `feature` of (left lane i, right lane i)
+// for n lanes; NaN where either side is null (or, for the numeric
+// measures, not numeric, and for year diff, has no year). Sequence
+// measures run the batch kernels of src/text/batch_kernel.h over the
+// non-null lanes, set measures the id-span merge kernels, Monge-Elkan its
+// memoized token walk. Both PreparedColumns must come from the SAME
+// PrepCache (shared interner). Thread-safe; staging buffers are per thread.
+void ScoreFeature(const Feature& feature, const FeatureSide& left,
+                  const FeatureSide& right, size_t n, double* out);
 
 // Named similarity-function factories. `lowercase` pre-lowercases both
 // sides — the "case fix" features added while debugging the matcher in §9.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "src/text/tokenizer.h"
@@ -17,21 +16,19 @@ std::unique_ptr<Tokenizer> TokenizerForSpec(const FeaturePrepSpec& spec) {
 
 namespace {
 
-// Attribute columns a feature reads, resolved once; features with a prepared
-// evaluator bind to PreparedColumns built once per (column, prep spec) —
-// each record is prepped a single time no matter how many pairs it appears
-// in.
+// Attribute columns a feature reads, resolved once; features with prep bind
+// to PreparedColumns built once per (column, prep spec) — each record is
+// prepped a single time no matter how many pairs it appears in.
 struct Bound {
   const std::vector<Value>* lcol;
   const std::vector<Value>* rcol;
-  std::shared_ptr<const PreparedColumn> lprep;  // null -> legacy fn
+  std::shared_ptr<const PreparedColumn> lprep;  // null for value measures
   std::shared_ptr<const PreparedColumn> rprep;
 };
 
 Result<std::vector<Bound>> BindFeatures(const Table& left, const Table& right,
                                         const FeatureSet& features,
-                                        PrepCache& prep_cache,
-                                        bool use_prepared) {
+                                        PrepCache& prep_cache) {
   std::vector<Bound> bound;
   bound.reserve(features.features.size());
   for (const Feature& f : features.features) {
@@ -40,7 +37,7 @@ Result<std::vector<Bound>> BindFeatures(const Table& left, const Table& right,
     EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
                          right.ColumnByName(f.right_attr));
     Bound b{lcol, rcol, nullptr, nullptr};
-    if (use_prepared && f.has_prep()) {
+    if (f.has_prep()) {
       std::unique_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
       PrepOptions opts{f.prep.lowercase, /*strip_punctuation=*/false};
       b.lprep = prep_cache.Get(*lcol, opts, tok.get());
@@ -49,42 +46,6 @@ Result<std::vector<Bound>> BindFeatures(const Table& left, const Table& right,
     bound.push_back(std::move(b));
   }
   return bound;
-}
-
-Result<FeatureMatrix> VectorizeImpl(const Table& left, const Table& right,
-                                    const CandidateSet& pairs,
-                                    const FeatureSet& features,
-                                    const ExecutorContext& ctx,
-                                    PrepCache* cache, bool use_prepared) {
-  PrepCache local_cache;
-  PrepCache& prep_cache = cache != nullptr ? *cache : local_cache;
-  EMX_ASSIGN_OR_RETURN(
-      std::vector<Bound> bound,
-      BindFeatures(left, right, features, prep_cache, use_prepared));
-
-  const size_t width = features.features.size();
-  FeatureMatrix m;
-  m.feature_names = features.names();
-  // The full pairs.size() x width shape is known here; size every row up
-  // front and fill by index, rather than growing each row behind push_back.
-  m.rows.resize(pairs.size());
-  ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0, [&](size_t lo,
-                                                          size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      const RecordPair& p = pairs[r];
-      std::vector<double>& row = m.rows[r];
-      row.resize(width);
-      for (size_t i = 0; i < width; ++i) {
-        const Feature& f = features.features[i];
-        if (bound[i].lprep != nullptr) {
-          row[i] = f.prep_fn(*bound[i].lprep, p.left, *bound[i].rprep, p.right);
-        } else {
-          row[i] = f.fn((*bound[i].lcol)[p.left], (*bound[i].rcol)[p.right]);
-        }
-      }
-    }
-  });
-  return m;
 }
 
 }  // namespace
@@ -96,59 +57,32 @@ Result<PairBatch> VectorizePairsBatch(const Table& left, const Table& right,
                                       PrepCache* cache) {
   PrepCache local_cache;
   PrepCache& prep_cache = cache != nullptr ? *cache : local_cache;
-  EMX_ASSIGN_OR_RETURN(
-      std::vector<Bound> bound,
-      BindFeatures(left, right, features, prep_cache, /*use_prepared=*/true));
+  EMX_ASSIGN_OR_RETURN(std::vector<Bound> bound,
+                       BindFeatures(left, right, features, prep_cache));
 
   const size_t width = features.features.size();
   PairBatch batch(pairs.size(), width);
   batch.feature_names = features.names();
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  // Feature-major within each chunk: every feature sweeps the chunk's lanes
-  // before the next feature starts, writing its contiguous column slice.
-  // Chunks are disjoint pair ranges, so any thread count writes the same
-  // cells with the same values.
+  // Feature-major within each chunk: every feature scores the chunk's lanes
+  // in one ScoreFeature call, writing its contiguous column slice. Chunks
+  // are disjoint pair ranges, so any thread count writes the same cells
+  // with the same values.
   ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0, [&](size_t lo,
                                                           size_t hi) {
-    // Gather/scatter staging for the batch kernels, reused across features
-    // and chunks on this thread.
-    thread_local std::vector<std::string_view> ga, gb;
-    thread_local std::vector<double> scores;
-    thread_local std::vector<uint32_t> lanes;
+    // The chunk's row indices, reused across chunks on this thread.
+    thread_local std::vector<uint32_t> lrows, rrows;
+    lrows.clear();
+    rrows.clear();
+    for (size_t r = lo; r < hi; ++r) {
+      lrows.push_back(pairs[r].left);
+      rrows.push_back(pairs[r].right);
+    }
     for (size_t i = 0; i < width; ++i) {
-      const Feature& f = features.features[i];
-      double* col = batch.Column(i);
       const Bound& b = bound[i];
-      if (b.lprep != nullptr && f.has_batch()) {
-        // Null lanes score NaN directly; the rest gather into contiguous
-        // view arrays for one batch-kernel call over the whole chunk.
-        ga.clear();
-        gb.clear();
-        lanes.clear();
-        for (size_t r = lo; r < hi; ++r) {
-          const RecordPair& p = pairs[r];
-          if (b.lprep->is_null(p.left) || b.rprep->is_null(p.right)) {
-            col[r] = kNaN;
-          } else {
-            lanes.push_back(static_cast<uint32_t>(r));
-            ga.push_back(b.lprep->text(p.left));
-            gb.push_back(b.rprep->text(p.right));
-          }
-        }
-        scores.resize(ga.size());
-        f.batch_fn(ga.data(), gb.data(), ga.size(), scores.data());
-        for (size_t k = 0; k < lanes.size(); ++k) col[lanes[k]] = scores[k];
-      } else if (b.lprep != nullptr) {
-        for (size_t r = lo; r < hi; ++r) {
-          const RecordPair& p = pairs[r];
-          col[r] = f.prep_fn(*b.lprep, p.left, *b.rprep, p.right);
-        }
-      } else {
-        for (size_t r = lo; r < hi; ++r) {
-          const RecordPair& p = pairs[r];
-          col[r] = f.fn((*b.lcol)[p.left], (*b.rcol)[p.right]);
-        }
-      }
+      ScoreFeature(features.features[i],
+                   {b.lcol->data(), b.lprep.get(), lrows.data()},
+                   {b.rcol->data(), b.rprep.get(), rrows.data()}, hi - lo,
+                   batch.Column(i) + lo);
     }
   });
   return batch;
@@ -163,15 +97,6 @@ Result<FeatureMatrix> VectorizePairs(const Table& left, const Table& right,
       PairBatch batch,
       VectorizePairsBatch(left, right, pairs, features, ctx, cache));
   return batch.ToMatrix();
-}
-
-Result<FeatureMatrix> VectorizePairsUnprepared(const Table& left,
-                                               const Table& right,
-                                               const CandidateSet& pairs,
-                                               const FeatureSet& features,
-                                               const ExecutorContext& ctx) {
-  return VectorizeImpl(left, right, pairs, features, ctx, /*cache=*/nullptr,
-                       /*use_prepared=*/false);
 }
 
 void MeanImputer::Fit(const FeatureMatrix& matrix) {

@@ -27,14 +27,13 @@ std::unique_ptr<Tokenizer> TokenizerForSpec(const FeaturePrepSpec& spec);
 // Before the pair loop, every (column, prep spec) a feature references is
 // prepped ONCE through `cache` (or a call-local cache when null):
 // normalization, tokenization, and token-id spans are computed per RECORD,
-// not per (pair × feature) as the legacy path did — the evaluation loop is
-// then allocation-free merge kernels over cached spans. Results are
-// bit-identical to the legacy path (asserted by token_kernel_test).
+// not per (pair × feature) — the evaluation loop is then allocation-free
+// kernels over cached text and spans. Results are bit-identical to the
+// per-pair oracle in tests/oracle/ (asserted by token_kernel_test).
 //
 // Rows are filled in parallel on `ctx`'s executor — each row is an
 // independent pure computation over (pairs[i], features), so the matrix is
-// identical at any thread count. Feature fns must be thread-safe (all
-// built-in similarity features are pure).
+// identical at any thread count.
 Result<FeatureMatrix> VectorizePairs(const Table& left, const Table& right,
                                      const CandidateSet& pairs,
                                      const FeatureSet& features,
@@ -43,24 +42,15 @@ Result<FeatureMatrix> VectorizePairs(const Table& left, const Table& right,
 
 // The columnar hot path: same prep and the same doubles as VectorizePairs
 // (bit for bit), but the result is a structure-of-arrays PairBatch and the
-// evaluation loop runs FEATURE-major within each executor chunk — features
-// with a batch kernel (the character-sequence measures) score a whole
-// chunk's worth of contiguous lanes per call through batch_kernel.h instead
-// of one pair at a time. VectorizePairs is a thin transpose over this.
+// evaluation loop runs FEATURE-major within each executor chunk — one
+// ScoreFeature call per (feature, chunk), so the character-sequence
+// measures run their batch kernels over a whole chunk's lanes at once.
+// VectorizePairs is a thin transpose over this.
 Result<PairBatch> VectorizePairsBatch(const Table& left, const Table& right,
                                       const CandidateSet& pairs,
                                       const FeatureSet& features,
                                       const ExecutorContext& ctx = {},
                                       PrepCache* cache = nullptr);
-
-// Forces every feature through its legacy per-pair Value fn, bypassing
-// prepared columns entirely. Equivalence oracle for tests and the
-// before/after measurement in bench_vectorize — not a production path.
-Result<FeatureMatrix> VectorizePairsUnprepared(const Table& left,
-                                               const Table& right,
-                                               const CandidateSet& pairs,
-                                               const FeatureSet& features,
-                                               const ExecutorContext& ctx = {});
 
 // Mean imputation fitted on a training matrix, applied to any matrix with
 // the same feature columns — PyMatcher fills missing feature values with

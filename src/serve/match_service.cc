@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <functional>
-#include <limits>
 #include <mutex>
 
 #include "src/block/overlap_blocker.h"
@@ -50,16 +47,6 @@ struct MatchService::CorpusPrep {
   std::shared_ptr<Tokenizer> tokenizer;  // null → text-only prep
   std::string key;
   std::vector<std::shared_ptr<const PreparedColumn>> segments;
-
-  const PreparedColumn& Segment(uint32_t record, size_t base_rows,
-                                size_t* row) const {
-    if (record < base_rows) {
-      *row = record;
-      return *segments[0];
-    }
-    *row = 0;
-    return *segments[1 + (record - base_rows)];
-  }
 };
 
 // Query-side prep descriptor: at each Lookup, one single-cell
@@ -76,7 +63,7 @@ struct MatchService::QuerySpec {
 // keep(query_tokens, record_tokens, overlap).
 struct MatchService::BlockPredicate {
   size_t min_left_tokens = 1;  // probe skipped below this query size
-  std::function<bool(size_t, size_t, size_t)> keep;
+  internal_block::OverlapKeepFn keep;
 };
 
 // One mutable blocking index plus every predicate that probes it — the
@@ -90,7 +77,8 @@ struct MatchService::IndexGroup {
 };
 
 struct MatchService::FeatureBinding {
-  int query_spec = -1;  // -1 → legacy per-pair Value fn
+  size_t corpus_col = 0;
+  int query_spec = -1;  // -1 (with corpus_prep) → value-backed measure
   int corpus_prep = -1;
 };
 
@@ -199,23 +187,17 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     const OverlapBlockerOptions* bopts = nullptr;
     std::shared_ptr<Tokenizer> tok;
     BlockPredicate pred;
+    auto replay = [&](const auto& blocker) {
+      bopts = &blocker.options();
+      tok = blocker.tokenizer();
+      pred.min_left_tokens = blocker.min_left_tokens();
+      pred.keep = blocker.keep();
+    };
     if (const auto* ob = dynamic_cast<const OverlapBlocker*>(b.get())) {
-      bopts = &ob->options();
-      tok = ob->tokenizer();
-      size_t k = ob->min_overlap();
-      pred.min_left_tokens = k;
-      pred.keep = [k](size_t, size_t, size_t overlap) { return overlap >= k; };
+      replay(*ob);
     } else if (const auto* cb =
                    dynamic_cast<const OverlapCoefficientBlocker*>(b.get())) {
-      bopts = &cb->options();
-      tok = cb->tokenizer();
-      double t = cb->threshold();
-      pred.min_left_tokens = 1;
-      pred.keep = [t](size_t la, size_t lb, size_t overlap) {
-        size_t mn = std::min(la, lb);
-        if (mn == 0) return false;
-        return static_cast<double>(overlap) >= t * static_cast<double>(mn);
-      };
+      replay(*cb);
     } else {
       return Status::InvalidArgument(
           "MatchService: blocker '" + b->name() +
@@ -246,16 +228,19 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   // vectorizer: lowercase from the spec, never punctuation stripping).
   for (const Feature& f : svc->features_.features) {
     FeatureBinding binding;
+    int col = svc->corpus_.schema().IndexOf(f.right_attr);
+    if (col < 0) {
+      return Status::InvalidArgument("MatchService: corpus has no column '" +
+                                     f.right_attr + "' (feature " + f.name +
+                                     ")");
+    }
+    binding.corpus_col = static_cast<size_t>(col);
     if (f.has_prep()) {
       std::shared_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
       PrepOptions po{f.prep.lowercase, /*strip_punctuation=*/false};
       binding.query_spec = add_query_spec(f.left_attr, po, tok);
       EMX_ASSIGN_OR_RETURN(binding.corpus_prep,
                            add_corpus_prep(f.right_attr, po, tok));
-    } else if (svc->corpus_.schema().IndexOf(f.right_attr) < 0) {
-      return Status::InvalidArgument("MatchService: corpus has no column '" +
-                                     f.right_attr + "' (feature " + f.name +
-                                     ")");
     }
     svc->bindings_.push_back(binding);
   }
@@ -362,58 +347,43 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
                       sure.end(), std::back_inserter(ml_records));
   double block_us = MicrosSince(t0);
 
-  // Stage: vectorize — fill the PairBatch feature-major, exactly the batch
-  // vectorizer's evaluation order per feature (batch kernel over gathered
-  // non-null lanes, else prepared per-pair fn, else legacy Value fn).
+  // Stage: vectorize — fill the PairBatch feature-major through
+  // ScoreFeature, the batch vectorizer's scoring path. The query record is
+  // row 0 of its one-row prep; corpus records below base_rows_ sit at their
+  // own row of segment 0, and each inserted record is row 0 of its own
+  // one-row segment. So the ascending ml_records score as one run over
+  // segment 0, then one single-lane run per inserted record.
   t0 = Clock::now();
   size_t n = ml_records.size();
   size_t width = features_.features.size();
   PairBatch batch(matcher_ != nullptr ? n : 0, width);
   batch.feature_names = features_.names();
   if (matcher_ != nullptr && n > 0) {
-    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-    thread_local std::vector<std::string_view> ga, gb;
-    thread_local std::vector<double> gscores;
-    thread_local std::vector<uint32_t> lanes;
+    size_t base_run = static_cast<size_t>(
+        std::lower_bound(ml_records.begin(), ml_records.end(), base_rows_) -
+        ml_records.begin());
+    std::vector<uint32_t> zeros(n, 0);
     for (size_t fi = 0; fi < width; ++fi) {
       const Feature& f = features_.features[fi];
       const FeatureBinding& b = bindings_[fi];
+      EMX_ASSIGN_OR_RETURN(const std::vector<Value>* qcol,
+                           query.ColumnByName(f.left_attr));
+      FeatureSide q{qcol->data() + query_row,
+                    b.query_spec >= 0 ? qpreps[b.query_spec].get() : nullptr,
+                    zeros.data()};
+      const Value* values = corpus_.column(b.corpus_col).data();
+      const CorpusPrep* cp =
+          b.corpus_prep >= 0 ? corpus_preps_[b.corpus_prep].get() : nullptr;
       double* col = batch.Column(fi);
-      if (b.query_spec >= 0 && f.has_batch()) {
-        const PreparedColumn& q = *qpreps[b.query_spec];
-        const CorpusPrep& cp = *corpus_preps_[b.corpus_prep];
-        ga.clear();
-        gb.clear();
-        lanes.clear();
-        for (size_t i = 0; i < n; ++i) {
-          size_t row = 0;
-          const PreparedColumn& seg = cp.Segment(ml_records[i], base_rows_,
-                                                 &row);
-          if (q.is_null(0) || seg.is_null(row)) {
-            col[i] = kNaN;
-          } else {
-            lanes.push_back(static_cast<uint32_t>(i));
-            ga.push_back(q.text(0));
-            gb.push_back(seg.text(row));
-          }
-        }
-        gscores.resize(ga.size());
-        f.batch_fn(ga.data(), gb.data(), ga.size(), gscores.data());
-        for (size_t k = 0; k < lanes.size(); ++k) col[lanes[k]] = gscores[k];
-      } else if (b.query_spec >= 0) {
-        const PreparedColumn& q = *qpreps[b.query_spec];
-        const CorpusPrep& cp = *corpus_preps_[b.corpus_prep];
-        for (size_t i = 0; i < n; ++i) {
-          size_t row = 0;
-          const PreparedColumn& seg = cp.Segment(ml_records[i], base_rows_,
-                                                 &row);
-          col[i] = f.prep_fn(q, 0, seg, row);
-        }
-      } else {
-        const Value& lv = query.at(query_row, f.left_attr);
-        for (size_t i = 0; i < n; ++i) {
-          col[i] = f.fn(lv, corpus_.at(ml_records[i], f.right_attr));
-        }
+      ScoreFeature(f, q,
+                   {values, cp ? cp->segments[0].get() : nullptr,
+                    ml_records.data()},
+                   base_run, col);
+      for (size_t i = base_run; i < n; ++i) {
+        uint32_t record = ml_records[i];
+        const PreparedColumn* seg =
+            cp ? cp->segments[1 + (record - base_rows_)].get() : nullptr;
+        ScoreFeature(f, q, {values + record, seg, zeros.data()}, 1, col + i);
       }
     }
     EMX_RETURN_IF_ERROR(imputer_.Transform(batch));
@@ -492,10 +462,7 @@ Result<uint32_t> MatchService::Insert(std::vector<Value> row) {
     corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
   }
   for (auto& g : index_groups_) {
-    size_t seg_row = 0;
-    const PreparedColumn& seg =
-        corpus_preps_[g->corpus_prep]->Segment(record, base_rows_, &seg_row);
-    g->index.Add(seg.ids(seg_row));
+    g->index.Add(corpus_preps_[g->corpus_prep]->segments.back()->ids(0));
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   return record;

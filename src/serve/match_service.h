@@ -85,9 +85,9 @@ struct MatchServiceStats {
 // results BIT-IDENTICAL to running the batch workflow over (query-table,
 // corpus) and restricting to that query row: same candidate records (the
 // delta index replays each blocker's keep predicate over identical token
-// multisets), same feature doubles (per-pair evaluation over prepared
-// segments is the documented bit-equal twin of the batch vectorizer), same
-// probabilities, same rule flips. match_service_test asserts this for
+// multisets), same feature doubles (ScoreFeature over the prepared query
+// record and corpus segments, the batch vectorizer's one scoring path),
+// same probabilities, same rule flips. match_service_test asserts this for
 // every record of the case-study and SF=10 corpora.
 //
 // Insert/Remove mutate the corpus incrementally: Insert appends the row,
@@ -152,7 +152,7 @@ class MatchService {
   struct QuerySpec;      // query-side prep descriptor
   struct BlockPredicate; // one blocker's keep predicate over a shared index
   struct IndexGroup;     // one delta index + the predicates probing it
-  struct FeatureBinding; // feature → (query spec, corpus prep) wiring
+  struct FeatureBinding; // feature → (query spec, corpus column/prep) wiring
   struct LatencyRing;
 
   MatchService() = default;
@@ -160,8 +160,6 @@ class MatchService {
   // Stage bodies (called with mu_ held shared).
   std::vector<uint32_t> SureMatches(const Table& query, size_t query_row,
                                     const ExecutorContext& ctx) const;
-  Status BlockCandidates(const Table& query, size_t query_row,
-                         std::vector<uint32_t>* out) const;
 
   Table corpus_;
   std::vector<uint8_t> live_;

@@ -53,18 +53,33 @@ TEST(AttrKindTest, MixedNumericAndStringIsString) {
 
 // --- individual features ----------------------------------------------------
 
+// Scores one (a, b) pair through the production path: a 1x1
+// VectorizePairsBatch over one-row tables holding a and b.
+double Score(const Feature& f, const Value& a, const Value& b) {
+  Table left(Schema({{f.left_attr, DataType::kAny}}));
+  Table right(Schema({{f.right_attr, DataType::kAny}}));
+  EXPECT_TRUE(left.AppendRow({a}).ok());
+  EXPECT_TRUE(right.AppendRow({b}).ok());
+  FeatureSet set;
+  set.features.push_back(f);
+  CandidateSet pair(std::vector<RecordPair>{{0, 0}});
+  auto batch = VectorizePairsBatch(left, right, pair, set);
+  EXPECT_TRUE(batch.ok());
+  return batch.ok() ? batch->At(0, 0) : 0.0;
+}
+
 TEST(FeatureTest, NullInputsYieldNaN) {
   Feature f = MakeJaccardFeature("t", "t");
-  EXPECT_TRUE(std::isnan(f.fn(Value::Null(), Value("x"))));
-  EXPECT_TRUE(std::isnan(f.fn(Value("x"), Value::Null())));
-  EXPECT_FALSE(std::isnan(f.fn(Value("x"), Value("x"))));
+  EXPECT_TRUE(std::isnan(Score(f, Value::Null(), Value("x"))));
+  EXPECT_TRUE(std::isnan(Score(f, Value("x"), Value::Null())));
+  EXPECT_FALSE(std::isnan(Score(f, Value("x"), Value("x"))));
 }
 
 TEST(FeatureTest, ExactMatchRespectsCaseFlag) {
   Feature sensitive = MakeExactMatchFeature("t", "t", /*lowercase=*/false);
   Feature insensitive = MakeExactMatchFeature("t", "t", /*lowercase=*/true);
-  EXPECT_DOUBLE_EQ(sensitive.fn(Value("ABC"), Value("abc")), 0.0);
-  EXPECT_DOUBLE_EQ(insensitive.fn(Value("ABC"), Value("abc")), 1.0);
+  EXPECT_DOUBLE_EQ(Score(sensitive, Value("ABC"), Value("abc")), 0.0);
+  EXPECT_DOUBLE_EQ(Score(insensitive, Value("ABC"), Value("abc")), 1.0);
   EXPECT_EQ(sensitive.name, "t_exact");
   EXPECT_EQ(insensitive.name, "lc_t_exact");
 }
@@ -75,56 +90,60 @@ TEST(FeatureTest, LowercaseTwinFixesCaseBlindness) {
   Value mixed("Corn Fungicide Guidelines");
   Feature plain = MakeJaccardFeature("t", "t", /*qgram=*/0);
   Feature fixed = MakeJaccardFeature("t", "t", /*qgram=*/0, /*lowercase=*/true);
-  EXPECT_DOUBLE_EQ(plain.fn(upper, mixed), 0.0);
-  EXPECT_DOUBLE_EQ(fixed.fn(upper, mixed), 1.0);
+  EXPECT_DOUBLE_EQ(Score(plain, upper, mixed), 0.0);
+  EXPECT_DOUBLE_EQ(Score(fixed, upper, mixed), 1.0);
 }
 
 TEST(FeatureTest, NumericFeatures) {
-  EXPECT_DOUBLE_EQ(MakeAbsDiffFeature("n", "n").fn(Value(3.0), Value(8.0)),
-                   5.0);
   EXPECT_DOUBLE_EQ(
-      MakeRelativeSimFeature("n", "n").fn(Value(5.0), Value(10.0)), 0.5);
+      Score(MakeAbsDiffFeature("n", "n"), Value(3.0), Value(8.0)), 5.0);
   EXPECT_DOUBLE_EQ(
-      MakeNumericExactFeature("n", "n").fn(Value(int64_t{4}), Value(4.0)),
+      Score(MakeRelativeSimFeature("n", "n"), Value(5.0), Value(10.0)), 0.5);
+  EXPECT_DOUBLE_EQ(
+      Score(MakeNumericExactFeature("n", "n"), Value(int64_t{4}), Value(4.0)),
       1.0);
   // Strings are not coerced: NaN.
-  EXPECT_TRUE(std::isnan(MakeAbsDiffFeature("n", "n").fn(Value("3"), Value(3.0))));
+  EXPECT_TRUE(std::isnan(
+      Score(MakeAbsDiffFeature("n", "n"), Value("3"), Value(3.0))));
 }
 
 TEST(FeatureTest, YearDiffParsesBothDateStyles) {
   Feature f = MakeYearDiffFeature("d", "d");
   // ISO vs paper's "M/D/YY" style.
-  EXPECT_DOUBLE_EQ(f.fn(Value("2008-10-01"), Value("10/1/08")), 0.0);
-  EXPECT_DOUBLE_EQ(f.fn(Value("2008-34103-19449"), Value("2011-09-30")), 3.0);
-  EXPECT_TRUE(std::isnan(f.fn(Value("no year"), Value("2008-01-01"))));
+  EXPECT_DOUBLE_EQ(Score(f, Value("2008-10-01"), Value("10/1/08")), 0.0);
+  EXPECT_DOUBLE_EQ(
+      Score(f, Value("2008-34103-19449"), Value("2011-09-30")), 3.0);
+  EXPECT_TRUE(std::isnan(Score(f, Value("no year"), Value("2008-01-01"))));
 }
 
 TEST(FeatureTest, YearDiffRejectsOverlongDigitRunsWithoutThrowing) {
   Feature f = MakeYearDiffFeature("d", "d");
   // A slash-date whose "year" tail exceeds int range used to escape as
   // std::out_of_range from std::stoi; now it is simply not a year.
-  EXPECT_TRUE(std::isnan(f.fn(Value("10/1/9999999999"), Value("2008-01-01"))));
-  EXPECT_TRUE(std::isnan(f.fn(Value("1/1/123456789012345678901234567890"),
-                              Value("2008-01-01"))));
+  EXPECT_TRUE(
+      std::isnan(Score(f, Value("10/1/9999999999"), Value("2008-01-01"))));
+  EXPECT_TRUE(std::isnan(Score(f, Value("1/1/123456789012345678901234567890"),
+                               Value("2008-01-01"))));
   // 3-digit tails are not years either (neither YY nor YYYY).
-  EXPECT_TRUE(std::isnan(f.fn(Value("10/1/200"), Value("2008-01-01"))));
+  EXPECT_TRUE(std::isnan(Score(f, Value("10/1/200"), Value("2008-01-01"))));
   // Valid 2- and 4-digit tails still parse.
-  EXPECT_DOUBLE_EQ(f.fn(Value("10/1/08"), Value("2008-01-01")), 0.0);
-  EXPECT_DOUBLE_EQ(f.fn(Value("10/1/2009"), Value("2008-01-01")), 1.0);
+  EXPECT_DOUBLE_EQ(Score(f, Value("10/1/08"), Value("2008-01-01")), 0.0);
+  EXPECT_DOUBLE_EQ(Score(f, Value("10/1/2009"), Value("2008-01-01")), 1.0);
 }
 
 TEST(FeatureTest, StringMeasureFamiliesAgreeWithCore) {
   Value a("swamp dodder ecology");
   Value b("swamp dodder applied ecology");
-  EXPECT_GT(MakeMongeElkanFeature("t", "t").fn(a, b), 0.8);
-  EXPECT_GT(MakeCosineFeature("t", "t").fn(a, b), 0.8);
-  EXPECT_DOUBLE_EQ(MakeOverlapCoefficientFeature("t", "t").fn(a, b), 1.0);
-  EXPECT_GT(MakeJaroWinklerFeature("t", "t").fn(a, b), 0.8);
-  EXPECT_LT(MakeLevenshteinFeature("t", "t").fn(a, b), 1.0);
-  EXPECT_GT(MakeSmithWatermanFeature("t", "t").fn(a, b), 0.6);
-  EXPECT_GT(MakeNeedlemanWunschFeature("t", "t").fn(a, b), 0.5);
-  EXPECT_GT(MakeDiceFeature("t", "t").fn(a, b), 0.8);
-  EXPECT_GT(MakeJaroFeature("t", "t").fn(a, b), 0.8);
+  EXPECT_GT(Score(MakeMongeElkanFeature("t", "t"), a, b), 0.8);
+  EXPECT_GT(Score(MakeCosineFeature("t", "t"), a, b), 0.8);
+  EXPECT_DOUBLE_EQ(Score(MakeOverlapCoefficientFeature("t", "t"), a, b),
+                   1.0);
+  EXPECT_GT(Score(MakeJaroWinklerFeature("t", "t"), a, b), 0.8);
+  EXPECT_LT(Score(MakeLevenshteinFeature("t", "t"), a, b), 1.0);
+  EXPECT_GT(Score(MakeSmithWatermanFeature("t", "t"), a, b), 0.6);
+  EXPECT_GT(Score(MakeNeedlemanWunschFeature("t", "t"), a, b), 0.5);
+  EXPECT_GT(Score(MakeDiceFeature("t", "t"), a, b), 0.8);
+  EXPECT_GT(Score(MakeJaroFeature("t", "t"), a, b), 0.8);
 }
 
 // --- automatic generation ------------------------------------------------------

@@ -32,6 +32,7 @@
 #include "src/text/phonetic.h"
 #include "src/text/sequence_similarity.h"
 #include "src/text/set_similarity.h"
+#include "tests/oracle/feature_oracle.h"
 
 namespace emx {
 namespace {
@@ -417,7 +418,7 @@ TEST(VectorizerBatchTest, BatchEqualsLegacyPathBitForBit) {
   PrepCache cache;
   auto batch = VectorizePairsBatch(l, r, pairs, *set, {}, &cache);
   ASSERT_TRUE(batch.ok());
-  auto legacy = VectorizePairsUnprepared(l, r, pairs, *set);
+  auto legacy = oracle::VectorizePairsUnprepared(l, r, pairs, *set);
   ASSERT_TRUE(legacy.ok());
 
   ASSERT_EQ(batch->num_pairs(), legacy->num_rows());

@@ -18,11 +18,13 @@
 
 #include "gtest/gtest.h"
 #include "src/feature/feature.h"
+#include "src/prep/prepared_column.h"
 #include "src/rules/match_rules.h"
 #include "src/table/table.h"
 #include "src/text/phonetic.h"
 #include "src/text/sequence_kernel.h"
 #include "src/text/sequence_similarity.h"
+#include "tests/oracle/feature_oracle.h"
 
 // ---------- allocation-counting hook (unsanitized builds only) ----------
 //
@@ -347,8 +349,23 @@ TEST(AffineGapFeatureTest, ScoresThroughKernelOnBothPaths) {
   ASSERT_TRUE(f.has_prep());
   const Value a(std::string("Smith, J"));
   const Value b(std::string("smith, john r"));
-  EXPECT_EQ(f.fn(a, b), AffineGapSimilarity("smith, j", "smith, john r"));
-  EXPECT_TRUE(std::isnan(f.fn(Value::Null(), b)));
+  const double want = AffineGapSimilarity("smith, j", "smith, john r");
+  // The per-pair oracle path...
+  EXPECT_EQ(oracle::ScorePair(f, a, b), want);
+  EXPECT_TRUE(std::isnan(oracle::ScorePair(f, Value::Null(), b)));
+
+  // ...and the production path: ScoreFeature over prepared columns.
+  std::vector<Value> lcol{a, Value::Null()}, rcol{b, b};
+  PrepCache cache;
+  PrepOptions opts{/*lowercase=*/true, /*strip_punctuation=*/false};
+  auto lprep = cache.Get(lcol, opts, nullptr);
+  auto rprep = cache.Get(rcol, opts, nullptr);
+  const uint32_t rows[] = {0, 1};
+  double out[2];
+  ScoreFeature(f, {lcol.data(), lprep.get(), rows},
+               {rcol.data(), rprep.get(), rows}, 2, out);
+  EXPECT_EQ(out[0], want);
+  EXPECT_TRUE(std::isnan(out[1]));
 }
 
 TEST(LevenshteinRuleTest, ShortCircuitMatchesFullPredicate) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
 #include "src/workflow/em_workflow.h"
+#include "tests/oracle/feature_oracle.h"
 
 namespace emx {
 namespace {
@@ -315,7 +317,7 @@ TEST(JaccardJoinTest, IdPathLosslessVsBruteForce) {
   EXPECT_TRUE(*got == CandidateSet(std::move(expected)));
 }
 
-// ---------- vectorize: prepared path vs legacy path ----------
+// ---------- vectorize: prepared path vs the per-pair oracle ----------
 
 TEST(VectorizeEquivalenceTest, PreparedBitIdenticalToLegacyAt128Threads) {
   Table left = RandomTable(60, 51);
@@ -325,8 +327,27 @@ TEST(VectorizeEquivalenceTest, PreparedBitIdenticalToLegacyAt128Threads) {
   gen.lowercase_variants = {"title"};
   auto features = GenerateFeatures(left, right, gen);
   ASSERT_TRUE(features.ok());
-  // Include the date feature so the fn-only (no prep) path is exercised.
+  // Every factory GenerateFeatures never emits, with its lowercase twin,
+  // plus the date feature — so every Measure is compared below.
+  for (bool lc : {false, true}) {
+    features->features.push_back(
+        MakeNeedlemanWunschFeature("title", "title", lc));
+    features->features.push_back(
+        MakeSmithWatermanFeature("title", "title", lc));
+    features->features.push_back(MakeAffineGapFeature("title", "title", lc));
+    features->features.push_back(
+        MakeDiceFeature("title", "title", /*qgram=*/0, lc));
+    features->features.push_back(
+        MakeCosineFeature("title", "title", /*qgram=*/3, lc));
+    features->features.push_back(
+        MakeDiceFeature("title", "title", /*qgram=*/3, lc));
+    features->features.push_back(
+        MakeOverlapCoefficientFeature("title", "title", /*qgram=*/3, lc));
+  }
   features->features.push_back(MakeYearDiffFeature("date", "date"));
+  std::set<Measure> measures;
+  for (const Feature& f : features->features) measures.insert(f.measure);
+  EXPECT_EQ(measures.size(), static_cast<size_t>(Measure::kYearDiff) + 1);
 
   // All pairs in a modest cross product, exercising null/empty/punct cells.
   std::vector<RecordPair> all;
@@ -336,9 +357,8 @@ TEST(VectorizeEquivalenceTest, PreparedBitIdenticalToLegacyAt128Threads) {
   CandidateSet pairs(std::move(all));
 
   Executor pool1(1);
-  auto legacy =
-      VectorizePairsUnprepared(left, right, pairs, *features,
-                               ExecutorContext{&pool1});
+  auto legacy = oracle::VectorizePairsUnprepared(left, right, pairs, *features,
+                                                ExecutorContext{&pool1});
   ASSERT_TRUE(legacy.ok());
 
   for (size_t threads : {1u, 2u, 8u}) {
