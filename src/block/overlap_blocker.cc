@@ -191,11 +191,13 @@ PreparedPair PrepareJoinColumns(const std::vector<Value>& lcol,
                                 const std::vector<Value>& rcol,
                                 const OverlapBlockerOptions& options,
                                 const Tokenizer& tokenizer,
-                                const std::shared_ptr<PrepCache>& shared) {
+                                const std::shared_ptr<PrepCache>& shared,
+                                const ExecutorContext& ctx) {
   PrepCache local;
   PrepCache& cache = shared ? *shared : local;
   PrepOptions prep = internal_block::ToPrepOptions(options);
-  return {cache.Get(lcol, prep, &tokenizer), cache.Get(rcol, prep, &tokenizer)};
+  return {cache.Get(lcol, prep, &tokenizer, ctx),
+          cache.Get(rcol, prep, &tokenizer, ctx)};
 }
 
 }  // namespace
@@ -216,7 +218,7 @@ Result<CandidateSet> OverlapBlocker::Block(const Table& left,
   EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
                        right.ColumnByName(options_.right_attr));
   PreparedPair p =
-      PrepareJoinColumns(*lcol, *rcol, options_, *tokenizer_, prep_cache_);
+      PrepareJoinColumns(*lcol, *rcol, options_, *tokenizer_, prep_cache_, ctx);
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
   return internal_block::PartitionedOverlapJoin(
@@ -248,7 +250,7 @@ Result<CandidateSet> OverlapCoefficientBlocker::Block(
   EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
                        right.ColumnByName(options_.right_attr));
   PreparedPair p =
-      PrepareJoinColumns(*lcol, *rcol, options_, *tokenizer_, prep_cache_);
+      PrepareJoinColumns(*lcol, *rcol, options_, *tokenizer_, prep_cache_, ctx);
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
   return internal_block::PartitionedOverlapJoin(

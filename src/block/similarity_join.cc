@@ -41,8 +41,8 @@ Result<CandidateSet> JaccardJoinBlocker::BlockWithStats(
   std::shared_ptr<PrepCache> cache =
       prep_cache_ ? prep_cache_ : std::make_shared<PrepCache>();
   PrepOptions prep = internal_block::ToPrepOptions(options_);
-  auto lp = cache->Get(*lcol, prep, tokenizer_.get());
-  auto rp = cache->Get(*rcol, prep, tokenizer_.get());
+  auto lp = cache->Get(*lcol, prep, tokenizer_.get(), ctx);
+  auto rp = cache->Get(*rcol, prep, tokenizer_.get(), ctx);
   std::vector<std::string_view> token_strings = cache->TokenStringsSnapshot();
 
   // Global token frequency over both sides; prefixes are ordered

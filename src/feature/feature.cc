@@ -147,18 +147,20 @@ void ScoreSpans(const FeatureSide& l, const FeatureSide& r, size_t n,
 double MongeElkan(const PreparedColumn& lc, size_t i, const PreparedColumn& rc,
                   size_t j) {
   size_t na = 0, nb = 0;
-  const std::string* ta = lc.tokens(i, &na);
-  const std::string* tb = rc.tokens(j, &nb);
+  const uint32_t* ia = lc.emission_ids(i, &na);
+  const uint32_t* ib = rc.emission_ids(j, &nb);
   if (lc.interner_uid() == rc.interner_uid()) {
     // Same interner (same PrepCache, the documented contract): memoize the
     // token-level Jaro-Winkler by id pair — bit-identical, just not
     // recomputed for every candidate pair sharing a record.
-    size_t ia = 0, ib = 0;
-    return MongeElkanSimilarityMemo(ta, lc.emission_ids(i, &ia), na, tb,
-                                    rc.emission_ids(j, &ib), nb,
-                                    lc.interner_uid());
+    return MongeElkanSimilarityMemo(lc.interner(), ia, na, ib, nb);
   }
-  return MongeElkanSimilarity(ta, na, tb, nb);
+  thread_local std::vector<std::string_view> ta, tb;
+  ta.resize(na);
+  tb.resize(nb);
+  for (size_t k = 0; k < na; ++k) ta[k] = lc.interner().TokenString(ia[k]);
+  for (size_t k = 0; k < nb; ++k) tb[k] = rc.interner().TokenString(ib[k]);
+  return MongeElkanSimilarity(ta.data(), na, tb.data(), nb);
 }
 
 // out[i] = fn(left value, right value) over the raw Values; `fn` owns its

@@ -58,10 +58,11 @@ struct Feature {
   bool has_prep() const { return measure < Measure::kAbsDiff; }
 };
 
-// One side of a feature's input lanes: lane i reads row rows[i] of the raw
-// column `values` and of its prepared form `prep` (null when the feature
-// has no prep). Both are indexed by the same row, so a caller scoring a
-// one-row segment passes `values` offset to that record.
+// One side of a feature's input lanes: lane i reads row rows[i] of the
+// prepared column `prep` when the feature has prep, else of the raw column
+// `values` (a caller scoring a one-row segment passes `values` offset to
+// that record). `prep` may hold a subset of the table's rows, so its rows
+// need not be table rows.
 struct FeatureSide {
   const Value* values = nullptr;
   const PreparedColumn* prep = nullptr;

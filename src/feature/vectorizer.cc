@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <tuple>
 
 #include "src/text/tokenizer.h"
 
@@ -16,36 +18,76 @@ std::unique_ptr<Tokenizer> TokenizerForSpec(const FeaturePrepSpec& spec) {
 
 namespace {
 
-// Attribute columns a feature reads, resolved once; features with prep bind
-// to PreparedColumns built once per (column, prep spec) — each record is
-// prepped a single time no matter how many pairs it appears in.
-struct Bound {
-  const std::vector<Value>* lcol;
-  const std::vector<Value>* rcol;
-  std::shared_ptr<const PreparedColumn> lprep;  // null for value measures
-  std::shared_ptr<const PreparedColumn> rprep;
+// The distinct rows one side of the pairs references, ascending, and the
+// index of each of them in that list.
+struct ReferencedRows {
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> index_of;  // referenced table row -> index in rows
 };
 
-Result<std::vector<Bound>> BindFeatures(const Table& left, const Table& right,
-                                        const FeatureSet& features,
-                                        PrepCache& prep_cache) {
-  std::vector<Bound> bound;
-  bound.reserve(features.features.size());
-  for (const Feature& f : features.features) {
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* lcol,
-                         left.ColumnByName(f.left_attr));
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
-                         right.ColumnByName(f.right_attr));
-    Bound b{lcol, rcol, nullptr, nullptr};
-    if (f.has_prep()) {
-      std::unique_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
-      PrepOptions opts{f.prep.lowercase, /*strip_punctuation=*/false};
-      b.lprep = prep_cache.Get(*lcol, opts, tok.get());
-      b.rprep = prep_cache.Get(*rcol, opts, tok.get());
+Result<ReferencedRows> Reference(const CandidateSet& pairs, bool left,
+                                 size_t table_rows) {
+  constexpr uint32_t kUnused = UINT32_MAX;
+  ReferencedRows ref;
+  ref.index_of.assign(table_rows, kUnused);
+  for (const RecordPair& p : pairs) {
+    const uint32_t row = left ? p.left : p.right;
+    if (row >= table_rows) {
+      return Status::InvalidArgument(
+          std::string("VectorizePairs: ") + (left ? "left" : "right") +
+          " row " + std::to_string(row) + " out of range (" +
+          std::to_string(table_rows) + " rows)");
     }
-    bound.push_back(std::move(b));
+    ref.index_of[row] = 0;  // referenced; numbered below
   }
-  return bound;
+  for (size_t r = 0; r < table_rows; ++r) {
+    if (ref.index_of[r] == kUnused) continue;
+    ref.index_of[r] = static_cast<uint32_t>(ref.rows.size());
+    ref.rows.push_back(static_cast<uint32_t>(r));
+  }
+  return ref;
+}
+
+// One side of a feature, resolved once. A prepared side holds either the
+// whole column (lanes read it by table row) or just the referenced rows
+// (lanes read it by index into ReferencedRows::rows).
+struct BoundSide {
+  const std::vector<Value>* values = nullptr;
+  std::shared_ptr<const PreparedColumn> prep;  // null for value measures
+  bool by_index = false;
+};
+
+// Binds one side of every feature. Each (column, prep spec) is prepped
+// once per call over the referenced rows — or taken whole from the cache
+// when a blocker or an earlier caller already prepped the full column.
+Result<std::vector<BoundSide>> BindSide(const Table& table,
+                                        const FeatureSet& features, bool left,
+                                        const ReferencedRows& ref,
+                                        PrepCache& cache,
+                                        const ExecutorContext& ctx) {
+  std::map<std::tuple<const void*, bool, bool, int>,
+           std::shared_ptr<const PreparedColumn>>
+      prepped;
+  std::vector<BoundSide> sides;
+  sides.reserve(features.features.size());
+  for (const Feature& f : features.features) {
+    BoundSide side;
+    EMX_ASSIGN_OR_RETURN(side.values,
+                         table.ColumnByName(left ? f.left_attr : f.right_attr));
+    if (f.has_prep() && !ref.rows.empty()) {
+      auto& prep = prepped[{side.values, f.prep.lowercase, f.prep.tokenize,
+                            f.prep.qgram}];
+      if (prep == nullptr) {
+        std::unique_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
+        PrepOptions opts{f.prep.lowercase, /*strip_punctuation=*/false};
+        prep = cache.GetRows(*side.values, ref.rows, opts, tok.get(), ctx);
+      }
+      side.prep = prep;
+      side.by_index = prep->rows() != side.values->size();
+    }
+    sides.push_back(std::move(side));
+  }
+  return sides;
 }
 
 }  // namespace
@@ -57,8 +99,16 @@ Result<PairBatch> VectorizePairsBatch(const Table& left, const Table& right,
                                       PrepCache* cache) {
   PrepCache local_cache;
   PrepCache& prep_cache = cache != nullptr ? *cache : local_cache;
-  EMX_ASSIGN_OR_RETURN(std::vector<Bound> bound,
-                       BindFeatures(left, right, features, prep_cache));
+  EMX_ASSIGN_OR_RETURN(ReferencedRows lref,
+                       Reference(pairs, /*left=*/true, left.num_rows()));
+  EMX_ASSIGN_OR_RETURN(ReferencedRows rref,
+                       Reference(pairs, /*left=*/false, right.num_rows()));
+  EMX_ASSIGN_OR_RETURN(
+      std::vector<BoundSide> lsides,
+      BindSide(left, features, /*left=*/true, lref, prep_cache, ctx));
+  EMX_ASSIGN_OR_RETURN(
+      std::vector<BoundSide> rsides,
+      BindSide(right, features, /*left=*/false, rref, prep_cache, ctx));
 
   const size_t width = features.features.size();
   PairBatch batch(pairs.size(), width);
@@ -69,20 +119,28 @@ Result<PairBatch> VectorizePairsBatch(const Table& left, const Table& right,
   // with the same values.
   ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0, [&](size_t lo,
                                                           size_t hi) {
-    // The chunk's row indices, reused across chunks on this thread.
-    thread_local std::vector<uint32_t> lrows, rrows;
+    // The chunk's table rows and their indices into the referenced rows,
+    // reused across chunks on this thread.
+    thread_local std::vector<uint32_t> lrows, rrows, lindex, rindex;
     lrows.clear();
     rrows.clear();
+    lindex.clear();
+    rindex.clear();
     for (size_t r = lo; r < hi; ++r) {
       lrows.push_back(pairs[r].left);
       rrows.push_back(pairs[r].right);
+      lindex.push_back(lref.index_of[pairs[r].left]);
+      rindex.push_back(rref.index_of[pairs[r].right]);
     }
     for (size_t i = 0; i < width; ++i) {
-      const Bound& b = bound[i];
+      const BoundSide& l = lsides[i];
+      const BoundSide& r = rsides[i];
       ScoreFeature(features.features[i],
-                   {b.lcol->data(), b.lprep.get(), lrows.data()},
-                   {b.rcol->data(), b.rprep.get(), rrows.data()}, hi - lo,
-                   batch.Column(i) + lo);
+                   {l.values->data(), l.prep.get(),
+                    (l.by_index ? lindex : lrows).data()},
+                   {r.values->data(), r.prep.get(),
+                    (r.by_index ? rindex : rrows).data()},
+                   hi - lo, batch.Column(i) + lo);
     }
   });
   return batch;

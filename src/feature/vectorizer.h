@@ -25,11 +25,14 @@ std::unique_ptr<Tokenizer> TokenizerForSpec(const FeaturePrepSpec& spec);
 // Row i of the result corresponds to pairs[i]; missing comparisons are NaN.
 //
 // Before the pair loop, every (column, prep spec) a feature references is
-// prepped ONCE through `cache` (or a call-local cache when null):
-// normalization, tokenization, and token-id spans are computed per RECORD,
-// not per (pair × feature) — the evaluation loop is then allocation-free
-// kernels over cached text and spans. Results are bit-identical to the
-// per-pair oracle in tests/oracle/ (asserted by token_kernel_test).
+// prepped ONCE, through `cache` (or a call-local cache when null), over
+// only the rows `pairs` references — or read whole from the cache when a
+// blocker already prepped that column. Normalization, tokenization, and
+// token-id spans are computed per RECORD, not per (pair × feature), on
+// `ctx`'s executor; the evaluation loop is then allocation-free kernels
+// over prepared text and spans. Results are bit-identical to the per-pair
+// oracle in tests/oracle/ (asserted by token_kernel_test and prep_test).
+// A pair whose row is out of range for its table is InvalidArgument.
 //
 // Rows are filled in parallel on `ctx`'s executor — each row is an
 // independent pure computation over (pairs[i], features), so the matrix is

@@ -2,6 +2,7 @@
 #define EMX_PREP_PREPARED_COLUMN_H_
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/executor.h"
 #include "src/table/value.h"
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
@@ -29,81 +31,83 @@ struct PrepOptions {
   }
 };
 
-// One column of one table, prepped ONCE: per row the normalized string,
-// the token strings exactly as the tokenizer emitted them (first-occurrence
+// Rows of one column of one table, prepped ONCE: per row the normalized
+// string, the token ids in tokenizer-emission order (first-occurrence
 // order — the order the legacy per-pair path saw, so order-sensitive
-// scorers like Monge-Elkan sum in the same order), and a SORTED span of
-// token ids in a flat arena for the merge-based set kernels. Token ids come
-// from the owning PrepCache's interner, so spans from any two columns of
-// the same cache are directly comparable.
+// scorers like Monge-Elkan sum in the same order), and the same ids SORTED
+// in a flat arena for the merge-based set kernels. Token ids come from the
+// owning PrepCache's interner, so spans from any two columns of the same
+// cache are directly comparable, and a token's string is read back through
+// interner().
 //
-// Immutable after construction; safe to read from any number of threads.
+// A column holds either every row of its source (row r is source row r) or
+// a subset (row k is the k-th requested source row); PrepCache builds both
+// the same way. Immutable after construction; safe to read from any number
+// of threads.
 class PreparedColumn {
  public:
-  // Preps every row of `column`. `tokenizer` may be null for text-only
-  // prep (string features need no tokens). `interner` must outlive the
-  // column and is mutated (new tokens interned) during construction.
-  PreparedColumn(const std::vector<Value>& column, const PrepOptions& options,
-                 const Tokenizer* tokenizer, TokenInterner* interner);
+  // An empty column; PrepCache builds the real ones.
+  PreparedColumn() = default;
 
   size_t rows() const { return null_.size(); }
   bool is_null(size_t row) const { return null_[row] != 0; }
 
   // The normalized string of a row ("" for null rows).
-  const std::string& text(size_t row) const { return text_[row]; }
+  std::string_view text(size_t row) const {
+    return std::string_view(text_).substr(
+        text_offsets_[row], text_offsets_[row + 1] - text_offsets_[row]);
+  }
 
   // Sorted token-id span of a row (empty unless built with a tokenizer).
   IdSpan ids(size_t row) const {
-    return {id_arena_.data() + id_offsets_[row],
-            id_offsets_[row + 1] - id_offsets_[row]};
+    return {sorted_ids_.data() + token_offsets_[row],
+            token_offsets_[row + 1] - token_offsets_[row]};
   }
 
-  // Token strings of a row in tokenizer-emission order; `*count` receives
-  // the token count. Contiguous, so callers can pass (ptr, count) straight
-  // to the Monge-Elkan span overloads.
-  const std::string* tokens(size_t row, size_t* count) const {
-    *count = token_offsets_[row + 1] - token_offsets_[row];
-    return token_store_.data() + token_offsets_[row];
-  }
-
-  // Token ids of a row in tokenizer-EMISSION order, parallel to tokens():
-  // emission_ids(row)[k] is the id of tokens(row)[k]. Lets order-sensitive
-  // scorers key per-token-pair memos by id while still summing in the
-  // legacy order.
+  // Token ids of a row in tokenizer-EMISSION order; `*count` receives the
+  // token count. interner().TokenString(id) is the token itself.
   const uint32_t* emission_ids(size_t row, size_t* count) const {
     *count = token_offsets_[row + 1] - token_offsets_[row];
     return emit_ids_.data() + token_offsets_[row];
   }
 
-  // uid() of the interner the ids were assigned by; columns from the same
-  // PrepCache share it. See TokenInterner::uid().
-  uint64_t interner_uid() const { return interner_uid_; }
+  // The interner that assigned the ids; columns from the same PrepCache
+  // share it.
+  const TokenInterner& interner() const { return *interner_; }
+  uint64_t interner_uid() const { return interner_->uid(); }
 
   bool tokenized() const { return tokenized_; }
 
  private:
-  bool tokenized_;
-  uint64_t interner_uid_;
+  friend class PrepCache;
+
+  bool tokenized_ = false;
+  std::shared_ptr<const TokenInterner> interner_;
   std::vector<uint8_t> null_;
-  std::vector<std::string> text_;
-  std::vector<std::string> token_store_;   // flat, row-major
-  std::vector<uint32_t> token_offsets_;    // rows+1
-  std::vector<uint32_t> emit_ids_;         // flat, emission order per row
-  std::vector<uint32_t> id_arena_;         // flat, each row's run sorted
-  std::vector<uint32_t> id_offsets_;       // rows+1
+  std::string text_;                    // every row's text, concatenated
+  std::vector<size_t> text_offsets_;    // rows+1
+  std::vector<uint32_t> token_offsets_;  // rows+1, into both id arrays
+  std::vector<uint32_t> emit_ids_;      // emission order per row
+  std::vector<uint32_t> sorted_ids_;    // each row's run sorted
 };
 
 // Caches PreparedColumns keyed on (column identity, prep options,
 // tokenizer), all sharing ONE TokenInterner so id spans from different
 // columns — left vs right table, or columns requested by different
-// blockers/features — intersect directly. This is what collapses the
-// per-(pair × feature) tokenization of the legacy path to one pass per
-// (column, prep config): each record is prepped once no matter how many
-// candidate pairs it appears in.
+// blockers/features — intersect directly. Each record is prepped once per
+// (column, prep config) no matter how many candidate pairs it appears in.
 //
-// Thread-safety: Get() is fully synchronized (builds are serialized under
-// the cache mutex — concurrent blockers requesting columns simply take
-// turns prepping). Returned shared_ptrs stay valid across Clear().
+// Every build runs on the given executor in row chunks, with two-phase
+// interning: each chunk tokenizes into a dictionary of its own, then one
+// ordered merge — the only step under the cache mutex — moves the chunk
+// dictionaries into the shared interner, and a parallel pass rewrites each
+// row with the shared ids. Ids therefore come out in the serial first-seen
+// order at any thread count. Columns of a few rows build inline on the
+// caller without touching the executor.
+//
+// Thread-safety: every method is synchronized. Concurrent Get()s of one
+// key build once (the others wait for it); Get()s of different keys build
+// concurrently. Returned shared_ptrs stay valid across Clear().
 //
 // Invalidation contract: entries are keyed on the COLUMN'S STORAGE ADDRESS
 // plus its row count, so a cache must not outlive the tables it prepped
@@ -116,12 +120,23 @@ class PrepCache {
   PrepCache(const PrepCache&) = delete;
   PrepCache& operator=(const PrepCache&) = delete;
 
-  // The prepared form of `column` under (options, tokenizer), built on
-  // first use. `tokenizer` may be null for text-only prep; its name() and
-  // unique() flag identify it in the cache key.
+  // The prepared form of every row of `column` under (options, tokenizer),
+  // built on first use. `tokenizer` may be null for text-only prep; its
+  // name() and unique() flag identify it in the cache key.
   std::shared_ptr<const PreparedColumn> Get(const std::vector<Value>& column,
                                             const PrepOptions& options,
-                                            const Tokenizer* tokenizer);
+                                            const Tokenizer* tokenizer,
+                                            const ExecutorContext& ctx = {});
+
+  // Candidate-driven prep of the rows `rows` (ascending, distinct indices
+  // into `column`): the cached full column when Get() already built one
+  // (row r is source row r), else a fresh, uncached column in which row k
+  // is source row rows[k]. Either way rows() == column.size() exactly when
+  // rows are source rows.
+  std::shared_ptr<const PreparedColumn> GetRows(
+      const std::vector<Value>& column, const std::vector<uint32_t>& rows,
+      const PrepOptions& options, const Tokenizer* tokenizer,
+      const ExecutorContext& ctx = {});
 
   // Builds a PreparedColumn sharing THIS cache's interner without entering
   // it into the cache. For ephemeral columns — a serve-path query record,
@@ -132,7 +147,7 @@ class PrepCache {
   // directly comparable with every cached column).
   std::shared_ptr<const PreparedColumn> PrepUncached(
       const std::vector<Value>& column, const PrepOptions& options,
-      const Tokenizer* tokenizer);
+      const Tokenizer* tokenizer, const ExecutorContext& ctx = {});
 
   // Snapshot of id -> token string for every token interned so far. The
   // views point at interner storage, which is append-only and
@@ -165,10 +180,21 @@ class PrepCache {
       return a.tokenizer_key < b.tokenizer_key;
     }
   };
+  using Entry = std::shared_future<std::shared_ptr<const PreparedColumn>>;
+
+  static Key MakeKey(const std::vector<Value>& column,
+                     const PrepOptions& options, const Tokenizer* tokenizer);
+
+  // Preps `rows` of `column` (every row when null): the chunked two-phase
+  // build described above.
+  std::shared_ptr<const PreparedColumn> Build(
+      const std::vector<Value>& column, const std::vector<uint32_t>* rows,
+      const PrepOptions& options, const Tokenizer* tokenizer,
+      const ExecutorContext& ctx);
 
   mutable std::mutex mu_;
-  TokenInterner interner_;
-  std::map<Key, std::shared_ptr<const PreparedColumn>> cache_;
+  std::shared_ptr<TokenInterner> interner_ = std::make_shared<TokenInterner>();
+  std::map<Key, Entry> cache_;
 };
 
 }  // namespace emx

@@ -174,7 +174,7 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     prep->key = std::move(key);
     prep->segments.push_back(svc->prep_cache_->PrepUncached(
         svc->corpus_.column(static_cast<size_t>(col)), opts,
-        prep->tokenizer.get()));
+        prep->tokenizer.get(), ctx));
     svc->corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
     svc->corpus_preps_.push_back(std::move(prep));
     return static_cast<int>(svc->corpus_preps_.size() - 1);

@@ -153,8 +153,8 @@ double CosineSimilarity(IdSpan a, IdSpan b) {
   return CosineFromStats(ComputeStats(a, b));
 }
 
-double MongeElkanAsymmetric(const std::string* a, size_t na,
-                            const std::string* b, size_t nb) {
+double MongeElkanAsymmetric(const std::string_view* a, size_t na,
+                            const std::string_view* b, size_t nb) {
   if (na == 0) return nb == 0 ? 1.0 : 0.0;
   if (nb == 0) return 0.0;
   double sum = 0.0;
@@ -168,8 +168,8 @@ double MongeElkanAsymmetric(const std::string* a, size_t na,
   return sum / static_cast<double>(na);
 }
 
-double MongeElkanSimilarity(const std::string* a, size_t na,
-                            const std::string* b, size_t nb) {
+double MongeElkanSimilarity(const std::string_view* a, size_t na,
+                            const std::string_view* b, size_t nb) {
   return 0.5 * (MongeElkanAsymmetric(a, na, b, nb) +
                 MongeElkanAsymmetric(b, nb, a, na));
 }
@@ -190,39 +190,9 @@ struct JwMemo {
   std::unordered_map<uint64_t, double> scores;  // (aid << 32 | bid) -> jw
 };
 
-double MemoizedJw(JwMemo& memo, const std::string& a, uint32_t aid,
-                  const std::string& b, uint32_t bid) {
-  const uint64_t key = (static_cast<uint64_t>(aid) << 32) | bid;
-  auto it = memo.scores.find(key);
-  if (it != memo.scores.end()) return it->second;
-  double v = JaroWinklerSimilarity(a, b);
-  memo.scores.emplace(key, v);
-  return v;
-}
-
-double MongeElkanAsymmetricMemo(JwMemo& memo, const std::string* a,
-                                const uint32_t* aid, size_t na,
-                                const std::string* b, const uint32_t* bid,
-                                size_t nb) {
-  if (na == 0) return nb == 0 ? 1.0 : 0.0;
-  if (nb == 0) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < na; ++i) {
-    double best = 0.0;
-    for (size_t j = 0; j < nb; ++j) {
-      best = std::max(best, MemoizedJw(memo, a[i], aid[i], b[j], bid[j]));
-    }
-    sum += best;
-  }
-  return sum / static_cast<double>(na);
-}
-
-}  // namespace
-
-double MongeElkanSimilarityMemo(const std::string* a, const uint32_t* aid,
-                                size_t na, const std::string* b,
-                                const uint32_t* bid, size_t nb,
-                                uint64_t interner_uid) {
+// This thread's memo, flushed when it belongs to another interner or an
+// older generation, or has outgrown its cap.
+JwMemo& ThreadMemo(uint64_t interner_uid) {
   thread_local JwMemo memo;
   const uint64_t generation =
       g_memo_generation.load(std::memory_order_relaxed);
@@ -232,11 +202,69 @@ double MongeElkanSimilarityMemo(const std::string* a, const uint32_t* aid,
     memo.generation = generation;
     memo.scores.clear();
   }
-  // Directional keys on purpose: the reverse direction scores jw(b_j, a_i),
-  // stored under (bid << 32 | aid), so no symmetry assumption about the
-  // Jaro-Winkler implementation is baked into the memo.
+  return memo;
+}
+
+// `a(i)` / `b(j)` yield token strings; they are called on memo misses only.
+template <typename TokenA, typename TokenB>
+double MongeElkanAsymmetricMemo(JwMemo& memo, const TokenA& a,
+                                const uint32_t* aid, size_t na,
+                                const TokenB& b, const uint32_t* bid,
+                                size_t nb) {
+  if (na == 0) return nb == 0 ? 1.0 : 0.0;
+  if (nb == 0) return 0.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < na; ++i) {
+    double best = 0.0;
+    for (size_t j = 0; j < nb; ++j) {
+      const uint64_t key = (static_cast<uint64_t>(aid[i]) << 32) | bid[j];
+      auto it = memo.scores.find(key);
+      const double jw = it != memo.scores.end()
+                            ? it->second
+                            : memo.scores.emplace(key, JaroWinklerSimilarity(
+                                                           a(i), b(j)))
+                                  .first->second;
+      best = std::max(best, jw);
+    }
+    sum += best;
+  }
+  return sum / static_cast<double>(na);
+}
+
+// Directional keys on purpose: the reverse direction scores jw(b_j, a_i),
+// stored under (bid << 32 | aid), so no symmetry assumption about the
+// Jaro-Winkler implementation is baked into the memo.
+template <typename TokenFn>
+double MongeElkanMemo(const TokenFn& a, const uint32_t* aid, size_t na,
+                      const TokenFn& b, const uint32_t* bid, size_t nb,
+                      uint64_t interner_uid) {
+  JwMemo& memo = ThreadMemo(interner_uid);
   return 0.5 * (MongeElkanAsymmetricMemo(memo, a, aid, na, b, bid, nb) +
                 MongeElkanAsymmetricMemo(memo, b, bid, nb, a, aid, na));
+}
+
+}  // namespace
+
+double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
+                                size_t na, const std::string_view* b,
+                                const uint32_t* bid, size_t nb,
+                                uint64_t interner_uid) {
+  auto tokens = [](const std::string_view* t) {
+    return [t](size_t i) { return t[i]; };
+  };
+  return MongeElkanMemo(tokens(a), aid, na, tokens(b), bid, nb, interner_uid);
+}
+
+double MongeElkanSimilarityMemo(const TokenInterner& interner,
+                                const uint32_t* aid, size_t na,
+                                const uint32_t* bid, size_t nb) {
+  auto tokens = [&interner](const uint32_t* ids) {
+    return [&interner, ids](size_t i) -> std::string_view {
+      return interner.TokenString(ids[i]);
+    };
+  };
+  return MongeElkanMemo(tokens(aid), aid, na, tokens(bid), bid, nb,
+                        interner.uid());
 }
 
 void ClearMongeElkanMemo() {
@@ -249,12 +277,14 @@ uint64_t MongeElkanMemoGeneration() {
 
 double MongeElkanAsymmetric(const std::vector<std::string>& a,
                             const std::vector<std::string>& b) {
-  return MongeElkanAsymmetric(a.data(), a.size(), b.data(), b.size());
+  std::vector<std::string_view> va(a.begin(), a.end()), vb(b.begin(), b.end());
+  return MongeElkanAsymmetric(va.data(), va.size(), vb.data(), vb.size());
 }
 
 double MongeElkanSimilarity(const std::vector<std::string>& a,
                             const std::vector<std::string>& b) {
-  return MongeElkanSimilarity(a.data(), a.size(), b.data(), b.size());
+  std::vector<std::string_view> va(a.begin(), a.end()), vb(b.begin(), b.end());
+  return MongeElkanSimilarity(va.data(), va.size(), vb.data(), vb.size());
 }
 
 TfIdfScorer::TfIdfScorer(

@@ -1,12 +1,15 @@
 #ifndef EMX_TEXT_TOKEN_INTERNER_H_
 #define EMX_TEXT_TOKEN_INTERNER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace emx {
 
@@ -35,8 +38,11 @@ struct IdSpan {
 // results. Interned strings are stored in a deque: references returned by
 // TokenString() stay valid across later Intern() calls.
 //
-// Not internally synchronized — PrepCache serializes all access under its
-// own mutex.
+// Thread-safety: Intern(), Find() and size() need external serialization
+// (PrepCache holds its mutex around them). TokenString() of an id the
+// caller already holds may run concurrently with Intern(): the id → string
+// table lives in fixed-size blocks behind an atomically published
+// directory, so a reader never sees storage move.
 class TokenInterner {
  public:
   TokenInterner() = default;
@@ -50,7 +56,10 @@ class TokenInterner {
   std::optional<uint32_t> Find(std::string_view token) const;
 
   // The string for an id; reference stable for the interner's lifetime.
-  const std::string& TokenString(uint32_t id) const { return strings_[id]; }
+  const std::string& TokenString(uint32_t id) const {
+    return *directory_.load(std::memory_order_acquire)[id >> kBlockBits]
+                                                      [id & kBlockMask];
+  }
 
   // Number of distinct tokens interned so far (== smallest unassigned id).
   size_t size() const { return strings_.size(); }
@@ -63,11 +72,22 @@ class TokenInterner {
   uint64_t uid() const { return uid_; }
 
  private:
+  using Block = const std::string*[];
+  static constexpr uint32_t kBlockBits = 12;
+  static constexpr uint32_t kBlockMask = (1u << kBlockBits) - 1;
+
   static uint64_t NextUid();
 
   const uint64_t uid_ = NextUid();
   std::deque<std::string> strings_;  // id -> token; deque keeps refs stable
   std::unordered_map<std::string_view, uint32_t> ids_;  // views into strings_
+  // id -> &strings_[id], 4096 ids per block. A full directory is copied
+  // into one twice its size and republished; the old one stays alive for
+  // readers that loaded it (it still covers every id they can hold).
+  std::vector<std::unique_ptr<Block>> blocks_;
+  std::vector<std::unique_ptr<const std::string**[]>> directories_;
+  size_t directory_capacity_ = 0;
+  std::atomic<const std::string* const* const*> directory_{nullptr};
 };
 
 }  // namespace emx

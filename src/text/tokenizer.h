@@ -15,8 +15,16 @@ class Tokenizer {
  public:
   virtual ~Tokenizer() = default;
 
-  // Tokenizes `s`. When `unique()` is set, duplicates are removed (first
-  // occurrence order preserved).
+  // Appends every token of `s` to `out`, in emission order, duplicates
+  // included (unique() is the caller's to apply). Each view points into
+  // `s`, or — for a tokenizer that adds characters, like padded q-grams —
+  // into `*scratch`, which it overwrites; the views are valid while both
+  // are unchanged. The allocation-free form the prep path uses.
+  virtual void TokenizeViews(std::string_view s, std::string* scratch,
+                             std::vector<std::string_view>* out) const = 0;
+
+  // Owning form: the tokens of `s`, with duplicates removed (first
+  // occurrence kept) when `unique()` is set.
   std::vector<std::string> Tokenize(std::string_view s) const;
 
   // A stable name for feature naming, e.g. "ws", "qgm_3".
@@ -24,9 +32,6 @@ class Tokenizer {
 
   bool unique() const { return unique_; }
   void set_unique(bool unique) { unique_ = unique; }
-
- protected:
-  virtual std::vector<std::string> TokenizeImpl(std::string_view s) const = 0;
 
  private:
   bool unique_ = true;
@@ -36,18 +41,16 @@ class Tokenizer {
 class WhitespaceTokenizer : public Tokenizer {
  public:
   std::string name() const override { return "ws"; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenizeViews(std::string_view s, std::string* scratch,
+                     std::vector<std::string_view>* out) const override;
 };
 
 // Tokens are maximal runs of [A-Za-z0-9]; punctuation separates.
 class AlphanumericTokenizer : public Tokenizer {
  public:
   std::string name() const override { return "alnum"; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenizeViews(std::string_view s, std::string* scratch,
+                     std::vector<std::string_view>* out) const override;
 };
 
 // Sliding character q-grams. With `pad` set, the string is padded with q-1
@@ -59,9 +62,8 @@ class QgramTokenizer : public Tokenizer {
 
   std::string name() const override { return "qgm_" + std::to_string(q_); }
   int q() const { return q_; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenizeViews(std::string_view s, std::string* scratch,
+                     std::vector<std::string_view>* out) const override;
 
  private:
   int q_;
@@ -75,9 +77,8 @@ class DelimiterTokenizer : public Tokenizer {
   explicit DelimiterTokenizer(char delim) : delim_(delim) {}
 
   std::string name() const override { return std::string("delim_") + delim_; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenizeViews(std::string_view s, std::string* scratch,
+                     std::vector<std::string_view>* out) const override;
 
  private:
   char delim_;

@@ -112,22 +112,34 @@ Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
     return computed;
   };
 
-  // The base fingerprint covers everything every stage depends on: both
-  // input tables (content, not path) and the full workflow configuration.
-  const std::string base = HashHex(Fnv1a64(
-      WriteCsvString(left) + "\x1f" + WriteCsvString(right) + "\x1f" +
-      workflow_->Describe()));
+  // Stage fingerprints only key checkpoint artifacts, so they are computed
+  // only when a store is open: they serialize both tables and every
+  // upstream artifact. The base fingerprint covers everything every stage
+  // depends on: both input tables (content, not path) and the full
+  // workflow configuration.
+  const std::string base =
+      store ? HashHex(Fnv1a64(WriteCsvString(left) + "\x1f" +
+                              WriteCsvString(right) + "\x1f" +
+                              workflow_->Describe()))
+            : std::string();
+  auto fingerprint = [&](const std::string& upstream,
+                         const CandidateSet* artifact,
+                         const std::string& stage) -> std::string {
+    if (!store) return std::string();
+    return ChainFingerprint(
+        upstream, artifact ? SerializeCandidateSet(*artifact) : "", stage);
+  };
 
   WorkflowRunResult out;
 
-  const std::string fp_sure = ChainFingerprint(base, "", "sure_matches");
+  const std::string fp_sure = fingerprint(base, nullptr, "sure_matches");
   EMX_ASSIGN_OR_RETURN(
       out.sure_matches,
       run_stage("sure_matches", fp_sure,
                 [&] { return workflow_->RunPositiveRules(left, right); }));
 
-  const std::string fp_candidates = ChainFingerprint(
-      fp_sure, SerializeCandidateSet(out.sure_matches), "candidates");
+  const std::string fp_candidates =
+      fingerprint(fp_sure, &out.sure_matches, "candidates");
   EMX_ASSIGN_OR_RETURN(
       out.candidates,
       run_stage("candidates", fp_candidates, [&] {
@@ -137,8 +149,8 @@ Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
   // Cheap, deterministic set algebra — recomputed, never checkpointed.
   out.ml_input = CandidateSet::Minus(out.candidates, out.sure_matches);
 
-  const std::string fp_predicted = ChainFingerprint(
-      fp_candidates, SerializeCandidateSet(out.ml_input), "ml_predicted");
+  const std::string fp_predicted =
+      fingerprint(fp_candidates, &out.ml_input, "ml_predicted");
   EMX_ASSIGN_OR_RETURN(
       out.ml_predicted,
       run_stage("ml_predicted", fp_predicted, [&] {
@@ -147,8 +159,8 @@ Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
 
   // The negative-rule stage produces two sets from one computation; both are
   // checkpointed under the same fingerprint, and resume requires both.
-  const std::string fp_rules = ChainFingerprint(
-      fp_predicted, SerializeCandidateSet(out.ml_predicted), "negative_rules");
+  const std::string fp_rules =
+      fingerprint(fp_predicted, &out.ml_predicted, "negative_rules");
   std::optional<CandidateSet> after = try_resume("after_rules", fp_rules);
   std::optional<CandidateSet> flipped =
       after ? try_resume("flipped", fp_rules) : std::nullopt;

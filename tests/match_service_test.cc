@@ -396,10 +396,15 @@ TEST(MatchServiceIngestTest, RemoveHidesRecordImmediately) {
 // on the lookup path. 1000 repeated lookups leave the corpus_preps counter
 // untouched, leave the Monge-Elkan memo generation untouched, and (on
 // plain builds) settle to an exactly constant per-lookup allocation count
-// on the calling thread.
+// on the calling thread. The service runs on a 1-thread executor so every
+// lookup runs wholly on the calling thread: on a shared pool the caller's
+// share of the positive-rule chunks (which allocate per corpus row) would
+// move the count with scheduling.
 TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   const CaseStudyFixture& fx = CaseStudy();
-  auto svc = MatchService::Create(fx.wf, fx.tables.usda);
+  Executor serial(1);
+  auto svc = MatchService::Create(fx.wf, fx.tables.usda, MatchServiceOptions{},
+                                  ExecutorContext{&serial});
   ASSERT_TRUE(svc.ok());
   const uint64_t preps_after_create = (*svc)->Stats().corpus_preps;
   EXPECT_GT(preps_after_create, 0u);

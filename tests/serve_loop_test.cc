@@ -149,25 +149,34 @@ const JsonValue* FindById(const std::vector<JsonValue>& responses, double id) {
 TEST(ServeLoopTest, EndToEndSessionOverStream) {
   // Fresh service: this session mutates the corpus.
   auto fx = std::unique_ptr<LoopFixture>(MakeLoopFixture());
-  std::istringstream in(
-      R"({"id":1,"op":"lookup","record":{"Title":"alpha beta gamma delta"}})"
-      "\n"
-      R"({"id":2,"op":"insert","record":{"Title":"alpha beta gamma echo"}})"
-      "\n"
-      R"({"id":3,"op":"lookup","record":{"Title":"alpha beta gamma echo"}})"
-      "\n"
-      R"({"id":4,"op":"remove","record_id":4})"
-      "\n"
-      R"({"id":5,"op":"lookup","record":{"Title":"alpha beta gamma echo"}})"
-      "\n"
-      R"({"id":6,"op":"stats"})"
-      "\n"
-      "this is not json\n"
-      R"({"id":8,"op":"frobnicate"})"
-      "\n");
+  const std::vector<std::string> lines = {
+      R"({"id":1,"op":"lookup","record":{"Title":"alpha beta gamma delta"}})",
+      R"({"id":2,"op":"insert","record":{"Title":"alpha beta gamma echo"}})",
+      R"({"id":3,"op":"lookup","record":{"Title":"alpha beta gamma echo"}})",
+      R"({"id":4,"op":"remove","record_id":4})",
+      R"({"id":5,"op":"lookup","record":{"Title":"alpha beta gamma echo"}})",
+      R"({"id":6,"op":"stats"})",
+      "this is not json",
+      R"({"id":8,"op":"frobnicate"})"};
   std::ostringstream out;
   ServeLoop loop(fx->service.get(), ServeOptions{}, &out);
-  ASSERT_TRUE(loop.Run(in).ok());
+  loop.Start();
+  // One op per batch: each admitted op is sent only once the previous one
+  // was answered, so the session applies in order (ops of one batch run
+  // concurrently on the executor).
+  uint64_t answered = 0;
+  for (const std::string& line : lines) {
+    if (!loop.Submit(line)) continue;
+    ++answered;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (loop.counters().processed.load() < answered) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "no response to: " << line;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  loop.Stop();
 
   auto responses = ParseResponses(out.str());
   ASSERT_EQ(responses.size(), 8u);

@@ -188,9 +188,11 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
     EXPECT_EQ(prep->is_null(r), (*col)[r].is_null());
     // Token strings match the legacy tokenization exactly, in order.
     size_t n = 0;
-    const std::string* toks = prep->tokens(r, &n);
+    const uint32_t* toks = prep->emission_ids(r, &n);
     ASSERT_EQ(n, legacy[r].size()) << "row " << r;
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(toks[i], legacy[r][i]);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(prep->interner().TokenString(toks[i]), legacy[r][i]);
+    }
     // Id span is the sorted image of the tokens under the interner.
     IdSpan ids = prep->ids(r);
     ASSERT_EQ(ids.size, n);
