@@ -143,18 +143,16 @@ void ScoreSpans(const FeatureSide& l, const FeatureSide& r, size_t n,
 }
 
 // Monge-Elkan runs Jaro-Winkler between token STRINGS, in tokenizer-emission
-// order (the summation order of the per-pair definition).
+// order (the summation order of the per-pair definition). Each side reads
+// its tokens through its own column's interner, so the two columns may come
+// from different PrepCaches. Token pairs are scored afresh for every lane:
+// most of the pairs a candidate set scores are distinct, so a token-pair
+// cache costs more than the Jaro-Winkler calls it saves.
 double MongeElkan(const PreparedColumn& lc, size_t i, const PreparedColumn& rc,
                   size_t j) {
   size_t na = 0, nb = 0;
   const uint32_t* ia = lc.emission_ids(i, &na);
   const uint32_t* ib = rc.emission_ids(j, &nb);
-  if (lc.interner_uid() == rc.interner_uid()) {
-    // Same interner (same PrepCache, the documented contract): memoize the
-    // token-level Jaro-Winkler by id pair — bit-identical, just not
-    // recomputed for every candidate pair sharing a record.
-    return MongeElkanSimilarityMemo(lc.interner(), ia, na, ib, nb);
-  }
   thread_local std::vector<std::string_view> ta, tb;
   ta.resize(na);
   tb.resize(nb);

@@ -73,9 +73,11 @@ struct FeatureSide {
 // for n lanes; NaN where either side is null (or, for the numeric
 // measures, not numeric, and for year diff, has no year). Sequence
 // measures run the batch kernels of src/text/batch_kernel.h over the
-// non-null lanes, set measures the id-span merge kernels, Monge-Elkan its
-// memoized token walk. Both PreparedColumns must come from the SAME
-// PrepCache (shared interner). Thread-safe; staging buffers are per thread.
+// non-null lanes, set measures the id-span merge kernels, Monge-Elkan
+// Jaro-Winkler over every token-string pair. Set measures need both
+// PreparedColumns from the SAME PrepCache (shared interner); Monge-Elkan
+// reads each side through its own. Thread-safe; staging buffers are per
+// thread.
 void ScoreFeature(const Feature& feature, const FeatureSide& left,
                   const FeatureSide& right, size_t n, double* out);
 

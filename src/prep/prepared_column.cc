@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "src/text/set_similarity.h"
-
 namespace emx {
 
 namespace {
@@ -328,14 +326,8 @@ std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {
 }
 
 void PrepCache::Clear() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.clear();
-  }
-  // Token ids handed out by our interner may sit in the per-thread
-  // Monge-Elkan memo; dropping the prepared columns invalidates the memo's
-  // usefulness, so flush it rather than letting stale entries pin memory.
-  ClearMongeElkanMemo();
+  std::lock_guard<std::mutex> lock(mu_);
+  cache_.clear();
 }
 
 size_t PrepCache::entries() const {

@@ -74,7 +74,6 @@ class PreparedColumn {
   // The interner that assigned the ids; columns from the same PrepCache
   // share it.
   const TokenInterner& interner() const { return *interner_; }
-  uint64_t interner_uid() const { return interner_->uid(); }
 
   bool tokenized() const { return tokenized_; }
 

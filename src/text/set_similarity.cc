@@ -1,7 +1,6 @@
 #include "src/text/set_similarity.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -172,107 +171,6 @@ double MongeElkanSimilarity(const std::string_view* a, size_t na,
                             const std::string_view* b, size_t nb) {
   return 0.5 * (MongeElkanAsymmetric(a, na, b, nb) +
                 MongeElkanAsymmetric(b, nb, a, na));
-}
-
-namespace {
-
-// Thread-local token-pair Jaro-Winkler memo for MongeElkanSimilarityMemo.
-// Keyed by the ids' interner uid: a lookup against a different interner
-// resets the table (ids are only comparable within one interner). Bounded
-// by kMongeElkanMemoMaxEntries — a pathological vocabulary flushes the
-// table instead of growing forever — and generation-stamped so
-// ClearMongeElkanMemo() can flush every thread's table lazily.
-std::atomic<uint64_t> g_memo_generation{0};
-
-struct JwMemo {
-  uint64_t interner_uid = 0;
-  uint64_t generation = 0;
-  std::unordered_map<uint64_t, double> scores;  // (aid << 32 | bid) -> jw
-};
-
-// This thread's memo, flushed when it belongs to another interner or an
-// older generation, or has outgrown its cap.
-JwMemo& ThreadMemo(uint64_t interner_uid) {
-  thread_local JwMemo memo;
-  const uint64_t generation =
-      g_memo_generation.load(std::memory_order_relaxed);
-  if (memo.interner_uid != interner_uid || memo.generation != generation ||
-      memo.scores.size() > kMongeElkanMemoMaxEntries) {
-    memo.interner_uid = interner_uid;
-    memo.generation = generation;
-    memo.scores.clear();
-  }
-  return memo;
-}
-
-// `a(i)` / `b(j)` yield token strings; they are called on memo misses only.
-template <typename TokenA, typename TokenB>
-double MongeElkanAsymmetricMemo(JwMemo& memo, const TokenA& a,
-                                const uint32_t* aid, size_t na,
-                                const TokenB& b, const uint32_t* bid,
-                                size_t nb) {
-  if (na == 0) return nb == 0 ? 1.0 : 0.0;
-  if (nb == 0) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < na; ++i) {
-    double best = 0.0;
-    for (size_t j = 0; j < nb; ++j) {
-      const uint64_t key = (static_cast<uint64_t>(aid[i]) << 32) | bid[j];
-      auto it = memo.scores.find(key);
-      const double jw = it != memo.scores.end()
-                            ? it->second
-                            : memo.scores.emplace(key, JaroWinklerSimilarity(
-                                                           a(i), b(j)))
-                                  .first->second;
-      best = std::max(best, jw);
-    }
-    sum += best;
-  }
-  return sum / static_cast<double>(na);
-}
-
-// Directional keys on purpose: the reverse direction scores jw(b_j, a_i),
-// stored under (bid << 32 | aid), so no symmetry assumption about the
-// Jaro-Winkler implementation is baked into the memo.
-template <typename TokenFn>
-double MongeElkanMemo(const TokenFn& a, const uint32_t* aid, size_t na,
-                      const TokenFn& b, const uint32_t* bid, size_t nb,
-                      uint64_t interner_uid) {
-  JwMemo& memo = ThreadMemo(interner_uid);
-  return 0.5 * (MongeElkanAsymmetricMemo(memo, a, aid, na, b, bid, nb) +
-                MongeElkanAsymmetricMemo(memo, b, bid, nb, a, aid, na));
-}
-
-}  // namespace
-
-double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
-                                size_t na, const std::string_view* b,
-                                const uint32_t* bid, size_t nb,
-                                uint64_t interner_uid) {
-  auto tokens = [](const std::string_view* t) {
-    return [t](size_t i) { return t[i]; };
-  };
-  return MongeElkanMemo(tokens(a), aid, na, tokens(b), bid, nb, interner_uid);
-}
-
-double MongeElkanSimilarityMemo(const TokenInterner& interner,
-                                const uint32_t* aid, size_t na,
-                                const uint32_t* bid, size_t nb) {
-  auto tokens = [&interner](const uint32_t* ids) {
-    return [&interner, ids](size_t i) -> std::string_view {
-      return interner.TokenString(ids[i]);
-    };
-  };
-  return MongeElkanMemo(tokens(aid), aid, na, tokens(bid), bid, nb,
-                        interner.uid());
-}
-
-void ClearMongeElkanMemo() {
-  g_memo_generation.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t MongeElkanMemoGeneration() {
-  return g_memo_generation.load(std::memory_order_relaxed);
 }
 
 double MongeElkanAsymmetric(const std::vector<std::string>& a,

@@ -64,54 +64,13 @@ double MongeElkanSimilarity(const std::vector<std::string>& a,
                             const std::vector<std::string>& b);
 
 // Span forms over contiguous token arrays (PrepCache-built columns read
-// a row's tokens back through the interner in first-occurrence order,
-// which preserves the legacy summation order — floating-point results are
+// a row's tokens back through the interner in emission order, which
+// preserves the legacy summation order — floating-point results are
 // bit-identical to the vector forms).
 double MongeElkanAsymmetric(const std::string_view* a, size_t na,
                             const std::string_view* b, size_t nb);
 double MongeElkanSimilarity(const std::string_view* a, size_t na,
                             const std::string_view* b, size_t nb);
-
-// As the span form, but with the tokens' interner ids (`aid[i]` is the id
-// of `a[i]`) so the inner token-level Jaro-Winkler calls are memoized per
-// (interner_uid, left id, right id) in a thread-local table. A memo hit
-// returns the exact double the miss computed from the same two strings, and
-// the summation order is untouched, so results stay bit-identical to the
-// unmemoized forms — this only removes the re-scoring of the same token
-// pair across the thousands of candidate pairs that share records.
-// `interner_uid` must be TokenInterner::uid() of the interner that assigned
-// BOTH sides' ids (PreparedColumn::interner_uid()).
-double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
-                                size_t na, const std::string_view* b,
-                                const uint32_t* bid, size_t nb,
-                                uint64_t interner_uid);
-
-// The same, over two rows of ids that `interner` assigned: a token's
-// string is read through the interner only when its pair misses the memo.
-double MongeElkanSimilarityMemo(const TokenInterner& interner,
-                                const uint32_t* aid, size_t na,
-                                const uint32_t* bid, size_t nb);
-
-// Hard cap on entries in each thread's Jaro-Winkler memo. When a lookup
-// finds the table above the cap it is flushed before inserting — a
-// pathological vocabulary (e.g. every row a unique long token) costs
-// re-scoring, never unbounded memory.
-inline constexpr size_t kMongeElkanMemoMaxEntries = size_t{1} << 20;
-
-// Flushes every thread's Jaro-Winkler memo (lazily: each thread drops its
-// table on its next MongeElkanSimilarityMemo call). PrepCache::Clear() calls
-// this so memo entries never outlive the prepared columns whose interner
-// assigned their ids. Safe to call concurrently with scoring — in-flight
-// calls finish against whichever generation they started with, and scores
-// are identical either way.
-void ClearMongeElkanMemo();
-
-// The memo's current generation counter (bumped by every
-// ClearMongeElkanMemo). Observability hook: MatchService's tests use it to
-// prove which code paths flush the memo — a batch PipelineRunner::Run in
-// the same process bumps it (its per-run PrepCache::Clear), while service
-// lookups never do.
-uint64_t MongeElkanMemoGeneration();
 
 // TF-IDF weighted cosine over a fixed corpus vocabulary. Build once from all
 // strings of both tables, then score token vectors. Unknown tokens get

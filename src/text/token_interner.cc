@@ -4,11 +4,6 @@
 
 namespace emx {
 
-uint64_t TokenInterner::NextUid() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 uint32_t TokenInterner::Intern(std::string_view token) {
   auto it = ids_.find(token);
   if (it != ids_.end()) return it->second;

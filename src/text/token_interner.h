@@ -64,21 +64,11 @@ class TokenInterner {
   // Number of distinct tokens interned so far (== smallest unassigned id).
   size_t size() const { return strings_.size(); }
 
-  // Process-unique identity of this interner (never reused, unlike the
-  // object's address). Keys caches of per-(id, id) computation results —
-  // e.g. the memoized token-level Jaro-Winkler inside Monge-Elkan — so a
-  // stale entry can never be confused with an id pair from a different
-  // interner that happened to reuse freed memory.
-  uint64_t uid() const { return uid_; }
-
  private:
   using Block = const std::string*[];
   static constexpr uint32_t kBlockBits = 12;
   static constexpr uint32_t kBlockMask = (1u << kBlockBits) - 1;
 
-  static uint64_t NextUid();
-
-  const uint64_t uid_ = NextUid();
   std::deque<std::string> strings_;  // id -> token; deque keeps refs stable
   std::unordered_map<std::string_view, uint32_t> ids_;  // views into strings_
   // id -> &strings_[id], 4096 ids per block. A full directory is copied

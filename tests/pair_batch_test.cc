@@ -6,7 +6,7 @@
 // fallback is exercised even on AVX2 hardware. The same suite pins down the
 // PairBatch container, the batched vectorizer/imputer, the flattened-forest
 // scorer (incl. NaN routing and deserialize), the rule-matcher batch
-// overloads, and the Monge-Elkan memo flush hook.
+// overloads, and Monge-Elkan scoring across threads and interners.
 
 #include <atomic>
 #include <cmath>
@@ -31,7 +31,6 @@
 #include "src/text/batch_kernel.h"
 #include "src/text/phonetic.h"
 #include "src/text/sequence_similarity.h"
-#include "src/text/set_similarity.h"
 #include "tests/oracle/feature_oracle.h"
 
 namespace emx {
@@ -510,47 +509,180 @@ TEST(FeatureRulesBatchTest, UnknownFeatureIsNotFound) {
   EXPECT_EQ(rules.Predict(batch).status().code(), StatusCode::kNotFound);
 }
 
-// ---------- Monge-Elkan memo flush ----------
+// ---------- Monge-Elkan ----------
 
-TEST(MongeElkanMemoTest, ClearFlushesStaleEntries) {
-  static_assert(kMongeElkanMemoMaxEntries > 0);
-  const uint64_t uid = 0xE1DB7u;
-  const std::string_view a1[] = {"martha"};
-  const std::string_view b1[] = {"marhta"};
-  const uint32_t aid[] = {0};
-  const uint32_t bid[] = {1};
-  const double v1 = MongeElkanSimilarityMemo(a1, aid, 1, b1, bid, 1, uid);
-  EXPECT_EQ(v1, MongeElkanSimilarity(a1, 1, b1, 1));
-
-  // Same ids + same uid but different strings: the memo (by design) serves
-  // the stale score — ids are the key, strings only feed misses.
-  const std::string_view a2[] = {"zzzz"};
-  const std::string_view b2[] = {"qqqq"};
-  EXPECT_EQ(MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid), v1);
-
-  // After the flush the very same call recomputes from the strings.
-  ClearMongeElkanMemo();
-  const double fresh = MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid);
-  EXPECT_EQ(fresh, MongeElkanSimilarity(a2, 1, b2, 1));
-  EXPECT_NE(fresh, v1);
+// A title that stresses the token walk: no tokens at all, a single token
+// longer than 64 chars, one token repeated, a single short token, or a few
+// mixed-case tokens (some long) for the lowercase variant.
+std::string MongeElkanTitle(std::mt19937& rng) {
+  std::uniform_int_distribution<int> kind(0, 7);
+  std::uniform_int_distribution<size_t> len(1, 12);
+  switch (kind(rng)) {
+    case 0:
+      return "";
+    case 1:
+      return "   ";
+    case 2:
+      return RandomString(rng, 65 + len(rng) * 3, 'a', 'c');
+    case 3: {
+      const std::string t = RandomString(rng, len(rng), 'a', 'd');
+      return t + " " + t + " " + RandomString(rng, 2, 'a', 'd') + " " + t;
+    }
+    case 4:
+      return RandomString(rng, len(rng), 'a', 'd');
+    default: {
+      std::string s;
+      const size_t tokens = 2 + len(rng) % 5;
+      for (size_t k = 0; k < tokens; ++k) {
+        if (k > 0) s += ' ';
+        s += len(rng) == 1 ? RandomString(rng, 70, 'a', 'b')
+                           : RandomString(rng, len(rng), 'A', 'd');
+      }
+      return s;
+    }
+  }
 }
 
-TEST(MongeElkanMemoTest, PrepCacheClearFlushesTheMemo) {
-  const uint64_t uid = 0xCAC4Eu;
-  const std::string_view a1[] = {"hello"};
-  const std::string_view b1[] = {"hallo"};
-  const uint32_t aid[] = {3};
-  const uint32_t bid[] = {4};
-  const double v1 = MongeElkanSimilarityMemo(a1, aid, 1, b1, bid, 1, uid);
+// One "Title" column; about one row in eight is null.
+Table MongeElkanTable(uint32_t seed, size_t rows) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> null_draw(0, 7);
+  Table t(Schema({{"Title", DataType::kString}}));
+  for (size_t i = 0; i < rows; ++i) {
+    const bool null = null_draw(rng) == 0;
+    const std::string title = MongeElkanTitle(rng);
+    EXPECT_TRUE(t.AppendRow({null ? Value() : Value(title)}).ok());
+  }
+  return t;
+}
 
-  PrepCache cache;
-  cache.Clear();  // must invalidate every thread's memo
+FeatureSet MongeElkanFeatures() {
+  FeatureSet set;
+  set.features.push_back(MakeMongeElkanFeature("Title", "Title"));
+  set.features.push_back(
+      MakeMongeElkanFeature("Title", "Title", /*lowercase=*/true));
+  return set;
+}
 
-  const std::string_view a2[] = {"aaaa"};
-  const std::string_view b2[] = {"bbbb"};
-  const double fresh = MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid);
-  EXPECT_EQ(fresh, MongeElkanSimilarity(a2, 1, b2, 1));
-  EXPECT_NE(fresh, v1);
+CandidateSet AllPairs(const Table& l, const Table& r) {
+  std::vector<RecordPair> all;
+  for (uint32_t i = 0; i < l.num_rows(); ++i) {
+    for (uint32_t j = 0; j < r.num_rows(); ++j) all.push_back({i, j});
+  }
+  return CandidateSet(std::move(all));
+}
+
+// Asserts every cell of `batch` equals oracle::ScorePair bit for bit.
+void ExpectMatchesOracle(const Table& l, const Table& r,
+                         const CandidateSet& pairs, const FeatureSet& set,
+                         const PairBatch& batch, const std::string& what) {
+  ASSERT_EQ(batch.num_pairs(), pairs.size());
+  ASSERT_EQ(batch.num_features(), set.features.size());
+  for (size_t f = 0; f < set.features.size(); ++f) {
+    const Feature& feature = set.features[f];
+    size_t mismatches = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const double want = oracle::ScorePair(feature, l.at(pairs[i].left, 0),
+                                            r.at(pairs[i].right, 0));
+      if (!BitEq(batch.At(i, f), want) && ++mismatches <= 3) {
+        ADD_FAILURE() << what << ": " << feature.name << " pair ("
+                      << pairs[i].left << ", " << pairs[i].right << ") got "
+                      << batch.At(i, f) << " want " << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << what << ": " << feature.name;
+  }
+}
+
+// Scores every pair through ScoreFeature in executor chunks, as
+// VectorizePairsBatch does, but with the left column prepped by `lcache`
+// and the right by `rcache`: two interners, so equal tokens carry
+// unrelated ids on the two sides.
+PairBatch ScoreAcrossCaches(const Table& l, const Table& r,
+                            const CandidateSet& pairs, const FeatureSet& set,
+                            PrepCache& lcache, PrepCache& rcache,
+                            const ExecutorContext& ctx) {
+  PairBatch batch(pairs.size(), set.features.size());
+  std::vector<uint32_t> lrows, rrows;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    lrows.push_back(pairs[i].left);
+    rrows.push_back(pairs[i].right);
+  }
+  for (size_t f = 0; f < set.features.size(); ++f) {
+    const Feature& feature = set.features[f];
+    auto tok = TokenizerForSpec(feature.prep);
+    const PrepOptions opts{feature.prep.lowercase,
+                           /*strip_punctuation=*/false};
+    auto lc = lcache.Get(l.column(0), opts, tok.get(), ctx);
+    auto rc = rcache.Get(r.column(0), opts, tok.get(), ctx);
+    EXPECT_NE(&lc->interner(), &rc->interner());
+    ctx.get().ParallelFor(0, pairs.size(), /*grain=*/37,
+                          [&](size_t lo, size_t hi) {
+                            ScoreFeature(feature,
+                                         {l.column(0).data(), lc.get(),
+                                          lrows.data() + lo},
+                                         {r.column(0).data(), rc.get(),
+                                          rrows.data() + lo},
+                                         hi - lo, batch.Column(f) + lo);
+                          });
+  }
+  return batch;
+}
+
+TEST(VectorizeMongeElkanTest, BitExactVsOracleAtAllThreadsAndInterners) {
+  const Table l = MongeElkanTable(/*seed=*/11, 48);
+  const Table r = MongeElkanTable(/*seed=*/23, 48);
+  const CandidateSet pairs = AllPairs(l, r);
+  const FeatureSet set = MongeElkanFeatures();
+  for (size_t threads : {1, 2, 8}) {
+    Executor pool(threads);
+    const ExecutorContext ctx{&pool};
+    const std::string at = std::to_string(threads) + " threads";
+
+    PrepCache cache;
+    auto batch = VectorizePairsBatch(l, r, pairs, set, ctx, &cache);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ExpectMatchesOracle(l, r, pairs, set, *batch, "one cache, " + at);
+
+    PrepCache lcache, rcache;
+    ExpectMatchesOracle(
+        l, r, pairs, set,
+        ScoreAcrossCaches(l, r, pairs, set, lcache, rcache, ctx),
+        "two caches, " + at);
+  }
+}
+
+// Nothing outlives a call: the same lanes scored again after an unrelated
+// cache was filled and cleared give the same bits.
+TEST(VectorizeMongeElkanTest, RescoringAfterUnrelatedClearIsBitIdentical) {
+  const Table l = MongeElkanTable(/*seed=*/5, 40);
+  const Table r = MongeElkanTable(/*seed=*/7, 40);
+  const CandidateSet pairs = AllPairs(l, r);
+  const FeatureSet set = MongeElkanFeatures();
+  for (size_t threads : {1, 2, 8}) {
+    Executor pool(threads);
+    const ExecutorContext ctx{&pool};
+    PrepCache cache;
+    auto first = VectorizePairsBatch(l, r, pairs, set, ctx, &cache);
+    ASSERT_TRUE(first.ok());
+
+    PrepCache unrelated;
+    auto other = VectorizePairsBatch(r, l, AllPairs(r, l), set, ctx,
+                                     &unrelated);
+    ASSERT_TRUE(other.ok());
+    unrelated.Clear();
+
+    auto second = VectorizePairsBatch(l, r, pairs, set, ctx, &cache);
+    ASSERT_TRUE(second.ok());
+    for (size_t f = 0; f < set.features.size(); ++f) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        ASSERT_TRUE(BitEq(first->At(i, f), second->At(i, f)))
+            << threads << " threads, pair " << i << " feature " << f;
+      }
+    }
+    ExpectMatchesOracle(l, r, pairs, set, *second,
+                        std::to_string(threads) + " threads, rescored");
+  }
 }
 
 }  // namespace
