@@ -37,6 +37,7 @@
 #include "src/core/executor.h"
 #include "src/datagen/case_study.h"
 #include "src/datagen/preprocess.h"
+#include "src/datagen/vocab.h"
 #include "src/feature/feature_gen.h"
 #include "src/feature/vectorizer.h"
 #include "src/prep/prepared_column.h"
@@ -214,26 +215,19 @@ int RunFull() {
 
 // --- smoke mode ------------------------------------------------------------
 
-// Small deterministic fixture: token sentences with heavy vocabulary reuse,
-// all-pairs candidates. Big enough to measure, small enough for CI.
+// Small deterministic fixture: grant titles drawn from datagen's title
+// lexicon (curated pools plus the synthetic domain terms), all-pairs
+// candidates. Most token pairs Monge-Elkan compares are distinct, as on the
+// benchmark corpora. Big enough to measure, small enough for CI.
 Table SmokeTable(size_t rows, uint32_t seed) {
-  const char* vocab[] = {"alpha", "beta",  "gamma",   "delta", "study",
-                         "of",    "swamp", "dodder",  "award", "applied",
-                         "corn",  "yield", "ecology", "title", "fund"};
-  const size_t nv = sizeof(vocab) / sizeof(vocab[0]);
   Table t(Schema({{"RecordId", DataType::kInt64},
                   {"Title", DataType::kString}}));
-  uint64_t state = seed;
-  auto next = [&state] {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<size_t>(state >> 33);
-  };
+  RandomEngine rng(seed);
   for (size_t i = 0; i < rows; ++i) {
     std::string title;
-    size_t len = 4 + next() % 8;
-    for (size_t w = 0; w < len; ++w) {
-      if (w > 0) title += ' ';
-      title += vocab[next() % nv];
+    for (const std::string& token : MakeTitleTokens(rng)) {
+      if (!title.empty()) title += ' ';
+      title += token;
     }
     (void)t.AppendRow({Value(static_cast<int64_t>(i)), Value(title)});
   }

@@ -64,11 +64,10 @@ std::vector<MatchRule> PositiveRulesV2() {
 }
 
 std::vector<MatchRule> NegativeRules() {
-  auto suffix = [](const std::string& s) { return AwardNumberSuffix(s); };
   return {MakeComparableMismatchRule("neg_award_vs_award", "AwardNumber",
-                                     "AwardNumber", suffix, nullptr),
+                                     "AwardNumber", AwardNumberSuffix),
           MakeComparableMismatchRule("neg_award_vs_project", "AwardNumber",
-                                     "ProjectNumber", suffix, nullptr)};
+                                     "ProjectNumber", AwardNumberSuffix)};
 }
 
 OracleLabeler MakeOracle(const CandidateSet& gold,
@@ -140,17 +139,13 @@ Result<TrainedMatcher> TrainBestMatcher(const Table& umetrics,
 
   // §9: drop Unsure pairs and sure matches before training.
   LabeledSet usable = labels.WithoutUnsure();
+  EMX_ASSIGN_OR_RETURN(
+      CandidateSet sure,
+      ApplyRulesToPairs(sure_rules, umetrics, usda, usable.Pairs()));
   std::vector<RecordPair> kept_pairs;
   std::vector<int> kept_labels;
   for (const LabeledPair& item : usable.items()) {
-    bool sure = false;
-    for (const MatchRule& rule : sure_rules) {
-      if (rule.fires(umetrics, item.pair.left, usda, item.pair.right)) {
-        sure = true;
-        break;
-      }
-    }
-    if (sure) continue;
+    if (sure.Contains(item.pair)) continue;
     kept_pairs.push_back(item.pair);
     kept_labels.push_back(item.label == Label::kYes ? 1 : 0);
   }

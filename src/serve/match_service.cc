@@ -259,6 +259,12 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
 std::vector<uint32_t> MatchService::SureMatches(
     const Table& query, size_t query_row, const ExecutorContext& ctx) const {
   if (positive_rules_.empty()) return {};
+  // The query side's key of each rule is the same for every corpus row.
+  std::vector<std::string> query_keys;
+  query_keys.reserve(positive_rules_.size());
+  for (const MatchRule& rule : positive_rules_) {
+    query_keys.push_back(rule.LeftKey(query, query_row));
+  }
   size_t rows = corpus_.num_rows();
   // Chunk-order concatenation keeps the result in ascending record order at
   // any thread count.
@@ -267,8 +273,10 @@ std::vector<uint32_t> MatchService::SureMatches(
         std::vector<uint32_t> out;
         for (size_t r = lo; r < hi; ++r) {
           if (!live_[r]) continue;
-          for (const MatchRule& rule : positive_rules_) {
-            if (rule.fires(query, query_row, corpus_, r)) {
+          for (size_t i = 0; i < positive_rules_.size(); ++i) {
+            const MatchRule& rule = positive_rules_[i];
+            if (query_keys[i].empty()) continue;
+            if (rule.FiresOnKeys(query_keys[i], rule.RightKey(corpus_, r))) {
               out.push_back(static_cast<uint32_t>(r));
               break;
             }

@@ -23,7 +23,7 @@ Result<CandidateSet> EmWorkflow::RunPositiveRules(const Table& left,
                                                   const Table& right) const {
   EMX_FAILPOINT("workflow/positive_rules");
   if (positive_rules_.empty()) return CandidateSet();
-  return ApplyRulesCartesian(positive_rules_, left, right);
+  return ApplyRulesCartesian(positive_rules_, left, right, exec_ctx_);
 }
 
 Result<CandidateSet> EmWorkflow::RunBlocking(

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/block/attr_equivalence_blocker.h"
+#include "src/core/executor.h"
+#include "src/core/random.h"
 #include "src/core/strings.h"
+#include "src/datagen/case_study.h"
+#include "src/datagen/preprocess.h"
 #include "src/rules/match_rules.h"
 #include "src/rules/number_pattern.h"
 #include "src/table/csv.h"
+#include "tests/oracle/rules_oracle.h"
 
 namespace emx {
 namespace {
@@ -155,6 +164,205 @@ TEST(MatchRulesTest, EqualityRuleWithBothTransforms) {
       [](const std::string& s) { return AsciiToLower(s); },
       [](const std::string& s) { return AsciiToLower(s); });
   EXPECT_TRUE(rule.fires(l, 0, r, 0));
+}
+
+// --- per-kind evaluation over A × B vs the per-pair oracle --------------------
+
+// ApplyRulesCartesian must return exactly the oracle's set at 1, 2 and 8
+// threads.
+void ExpectCartesianEqualsOracle(const std::vector<MatchRule>& rules,
+                                 const Table& left, const Table& right,
+                                 const std::string& what) {
+  auto want = oracle::ApplyRulesCartesian(rules, left, right);
+  ASSERT_TRUE(want.ok());
+  for (size_t threads : {1, 2, 8}) {
+    Executor pool(threads);
+    auto got = ApplyRulesCartesian(rules, left, right, ExecutorContext{&pool});
+    ASSERT_TRUE(got.ok()) << what;
+    EXPECT_EQ(got->size(), want->size()) << what << " @" << threads;
+    EXPECT_TRUE(*got == *want) << what << " @" << threads << " threads";
+  }
+}
+
+const ProjectedTables& CaseStudyTables() {
+  static const ProjectedTables* tables = [] {
+    auto data = GenerateCaseStudy();
+    EXPECT_TRUE(data.ok());
+    auto projected = PreprocessCaseStudy(*data);
+    EXPECT_TRUE(projected.ok());
+    return new ProjectedTables(std::move(*projected));
+  }();
+  return *tables;
+}
+
+TEST(MatchRulesJoinTest, CaseStudyPositiveRulesMatchOracle) {
+  const ProjectedTables& t = CaseStudyTables();
+  ExpectCartesianEqualsOracle(PositiveRulesV1(), t.umetrics, t.usda,
+                              "V1 umetrics");
+  ExpectCartesianEqualsOracle(PositiveRulesV2(), t.umetrics, t.usda,
+                              "V2 umetrics");
+  ExpectCartesianEqualsOracle(PositiveRulesV1(), t.extra, t.usda, "V1 extra");
+  ExpectCartesianEqualsOracle(PositiveRulesV2(), t.extra, t.usda, "V2 extra");
+  auto sure = ApplyRulesCartesian(PositiveRulesV2(), t.umetrics, t.usda);
+  ASSERT_TRUE(sure.ok());
+  EXPECT_GE(sure->size(), 650u);  // the rules really fire
+}
+
+// Key cells every random table starts with: null, empty, whitespace, an
+// award number whose suffix is whitespace-only, and numbers that format to
+// the same string as a text cell.
+std::vector<Value> EdgeKeys() {
+  return {Value(),           Value(""),        Value(" "),
+          Value("10.200 "),  Value("10.203  \t"), Value(int64_t{42}),
+          Value("42"),       Value(1.5),       Value("1.5")};
+}
+
+// A seeded random key: an award number, a bare suffix, a cased variant, a
+// number or one of the edge cells. The pools are small, so every key repeats
+// on both sides.
+Value RandomKey(RandomEngine& rng) {
+  static const char* kSuffixes[] = {"WIS01040", "WIS04509", "2008-34103-19449",
+                                    "2008-34103-19440", "MSN000111"};
+  static const char* kPrefixes[] = {"10.200", "10.203", "10.310"};
+  const std::string suffix = kSuffixes[rng.NextBelow(5)];
+  switch (rng.NextBelow(7)) {
+    case 0:
+      return Value(std::string(kPrefixes[rng.NextBelow(3)]) + " " + suffix);
+    case 1:
+      return Value(suffix);
+    case 2:
+      return Value(AsciiToLower(suffix));
+    case 3:
+      return Value(static_cast<int64_t>(rng.NextBelow(50)));
+    case 4:
+      return Value(static_cast<double>(rng.NextBelow(4)) + 0.5);
+    default: {
+      std::vector<Value> edge = EdgeKeys();
+      return edge[rng.NextBelow(edge.size())];
+    }
+  }
+}
+
+// Short titles one or two edits apart, plus empty and null cells.
+Value RandomTitle(RandomEngine& rng) {
+  static const char* kTitles[] = {"corn yield",   "corn yeild",  "corn yields",
+                                  "swamp dodder", "swamp doder", "dodder",
+                                  "a",            "",            "ab"};
+  if (rng.NextBelow(8) == 0) return Value();
+  return Value(kTitles[rng.NextBelow(9)]);
+}
+
+// Columns K and Title, plus P on the right (the project-number role).
+Table RandomRuleTable(size_t rows, bool with_project, uint64_t seed) {
+  std::vector<Field> fields = {{"K", DataType::kString},
+                               {"Title", DataType::kString}};
+  if (with_project) fields.push_back({"P", DataType::kString});
+  Table t{Schema(fields)};
+  RandomEngine rng(seed);
+  std::vector<Value> edge = EdgeKeys();
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<Value> row = {i < edge.size() ? edge[i] : RandomKey(rng),
+                              RandomTitle(rng)};
+    if (with_project) row.push_back(RandomKey(rng));
+    EXPECT_TRUE(t.AppendRow(std::move(row)).ok());
+  }
+  return t;
+}
+
+TEST(MatchRulesJoinTest, RandomTablesMatchOracleForEveryKind) {
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    Table left = RandomRuleTable(60, /*with_project=*/false, seed);
+    Table right = RandomRuleTable(70, /*with_project=*/true, seed + 100);
+    std::vector<MatchRule> rules = {
+        MakeEqualityRule("eq", "K", "K"),
+        MakeM1AwardNumberRule("K", "K"),
+        MakeAwardProjectNumberRule("K", "P"),
+        MakeEqualityRule("eq_suffix_lower", "K", "K", AwardNumberSuffix,
+                         AsciiToLower),
+        MakeEqualityRule("eq_lower_suffix", "K", "P", AsciiToLower,
+                         AwardNumberSuffix),
+        MakeLevenshteinRule("lev50", "Title", "Title", 0.5),
+        MakeLevenshteinRule("lev80", "Title", "Title", 0.8),
+        MakeLevenshteinRule("lev100", "Title", "Title", 1.0),
+        MakeLevenshteinRule("lev80_key", "K", "P", 0.8, AwardNumberSuffix,
+                            AsciiToLower),
+        MakeComparableMismatchRule("neg_kk", "K", "K", AwardNumberSuffix),
+        MakeComparableMismatchRule("neg_kp", "K", "P", AwardNumberSuffix,
+                                   AsciiToLower),
+    };
+    size_t fired = 0;
+    for (const MatchRule& rule : rules) {
+      std::string what = rule.name + " seed " + std::to_string(seed);
+      ExpectCartesianEqualsOracle({rule}, left, right, what);
+      fired += oracle::ApplyRulesCartesian({rule}, left, right)->size();
+    }
+    EXPECT_GT(fired, 0u);
+    // Mixed lists: the union of the per-rule sets.
+    ExpectCartesianEqualsOracle(rules, left, right,
+                                "all seed " + std::to_string(seed));
+    ExpectCartesianEqualsOracle({rules[1], rules[6], rules[10]}, left, right,
+                                "mixed seed " + std::to_string(seed));
+  }
+}
+
+TEST(MatchRulesJoinTest, CellWithoutKeyNeverFires) {
+  // Null, empty, and an award number whose suffix is whitespace only: no
+  // kind fires, not even against an identical cell.
+  Table t{Schema({{"K", DataType::kString}, {"Title", DataType::kString}})};
+  ASSERT_TRUE(t.AppendRow({Value(), Value()}).ok());
+  ASSERT_TRUE(t.AppendRow({Value("10.200  "), Value("")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(""), Value("")}).ok());
+  std::vector<MatchRule> rules = {
+      MakeEqualityRule("eq", "K", "K", AwardNumberSuffix, AwardNumberSuffix),
+      MakeEqualityRule("eq_title", "Title", "Title"),
+      MakeLevenshteinRule("lev", "K", "K", 0.0, AwardNumberSuffix,
+                          AwardNumberSuffix),
+      MakeLevenshteinRule("lev_title", "Title", "Title", 1.0),
+      MakeComparableMismatchRule("neg", "K", "K", AwardNumberSuffix,
+                                 AwardNumberSuffix)};
+  for (const MatchRule& rule : rules) {
+    for (size_t l = 0; l < t.num_rows(); ++l) {
+      EXPECT_EQ(rule.LeftKey(t, l), "") << rule.name;
+      for (size_t r = 0; r < t.num_rows(); ++r) {
+        EXPECT_FALSE(rule.fires(t, l, t, r)) << rule.name;
+      }
+    }
+  }
+  auto got = ApplyRulesCartesian(rules, t, t);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got->empty());
+}
+
+TEST(MatchRulesJoinTest, MissingColumnYieldsNoPairsAndNoError) {
+  Table l = RuleLeft(), r = RuleRight();
+  MatchRule m1 = MakeM1AwardNumberRule("AwardNumber", "AwardNumber");
+  std::vector<MatchRule> missing = {
+      MakeEqualityRule("left_missing", "Nope", "AwardNumber"),
+      MakeEqualityRule("right_missing", "AwardNumber", "Nope"),
+      MakeLevenshteinRule("lev_missing", "Nope", "Title", 0.5),
+      MakeComparableMismatchRule("neg_missing", "AwardNumber", "Nope")};
+  for (const MatchRule& rule : missing) {
+    ExpectCartesianEqualsOracle({rule}, l, r, rule.name);
+    auto got = ApplyRulesCartesian({rule}, l, r);
+    ASSERT_TRUE(got.ok()) << rule.name;
+    EXPECT_TRUE(got->empty()) << rule.name;
+    // Alongside a rule that fires, the missing one just adds nothing.
+    auto mixed = ApplyRulesCartesian({rule, m1}, l, r);
+    auto alone = ApplyRulesCartesian({m1}, l, r);
+    ASSERT_TRUE(mixed.ok() && alone.ok());
+    EXPECT_TRUE(*mixed == *alone) << rule.name;
+  }
+  // The blocker on the same input still reports the missing column.
+  EXPECT_EQ(AttrEquivalenceBlocker("Nope", "AwardNumber")
+                .Block(l, r)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(AttrEquivalenceBlocker("AwardNumber", "Nope")
+                .Block(l, r)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
