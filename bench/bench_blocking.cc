@@ -16,6 +16,7 @@
 #include "src/datagen/case_study.h"
 #include "src/datagen/preprocess.h"
 #include "src/text/set_similarity.h"
+#include "tests/oracle/block_oracle.h"
 
 namespace {
 
@@ -68,9 +69,9 @@ void BM_OverlapBlockerNaive(benchmark::State& state) {
   opts.left_attr = "AwardTitle";
   opts.right_attr = "AwardTitle";
   WhitespaceTokenizer tok;
-  auto lt = internal_block::TokenizeColumn(
+  auto lt = oracle::TokenizeColumn(
       *f.umetrics.ColumnByName("AwardTitle").value(), opts, tok);
-  auto rt = internal_block::TokenizeColumn(
+  auto rt = oracle::TokenizeColumn(
       *f.usda.ColumnByName("AwardTitle").value(), opts, tok);
   for (auto _ : state) {
     size_t kept = 0;
@@ -105,7 +106,7 @@ void BM_JaccardJoin(benchmark::State& state) {
   JaccardJoinBlocker join(opts, threshold);
   size_t verified = 0;
   for (auto _ : state) {
-    BlockStats stats;
+    TokenJoinStats stats;
     auto c = join.BlockWithStats(f.umetrics, f.usda, &stats);
     benchmark::DoNotOptimize(c->size());
     verified = stats.verified;

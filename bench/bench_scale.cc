@@ -11,7 +11,7 @@
 //                swept across 1/2/4/8 threads
 // Per SF it records the partition count, peak index bytes, and the
 // p50/p99 per-partition wall times from the engine's stats, and HARD-FAILS
-// if the partitioned candidate set diverges from the monolithic oracle.
+// if the partitioned candidate set diverges from the single-partition join.
 // Emits BENCH_scale.json in the working directory. host_cpus and
 // sweep_reliable are recorded because thread-sweep speedups are meaningless
 // on a 1-core host; the single-thread partitioned-vs-monolithic ratio is
@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/block/overlap_blocker.h"
 #include "src/block/partitioned_blocker.h"
 #include "src/core/executor.h"
 #include "src/datagen/scale_corpus.h"
@@ -65,15 +64,25 @@ double Percentile(std::vector<double> v, double p) {
   return v[idx];
 }
 
-// K=3 title-overlap keep, the paper's blocking threshold.
-constexpr size_t kOverlapK = 3;
-bool KeepK(size_t, size_t, size_t overlap) { return overlap >= kOverlapK; }
-
 struct PreppedCorpus {
   std::shared_ptr<const PreparedColumn> left;
   std::shared_ptr<const PreparedColumn> right;
   std::shared_ptr<PrepCache> cache;  // owns the interner the spans view
 };
+
+// K=3 title overlap, the paper's blocking threshold.
+const TokenPredicate kOverlapK3{TokenPredicate::Kind::kOverlap, 3};
+
+// The token join under `budget`; aborts on an error, which a valid
+// predicate never returns.
+CandidateSet Join(const PreppedCorpus& p,
+                  const internal_block::BlockBudget& budget,
+                  const ExecutorContext& ctx, TokenJoinStats* stats = nullptr) {
+  auto pairs = internal_block::TokenJoin(*p.left, *p.right, kOverlapK3,
+                                         budget, ctx, stats);
+  if (!pairs.ok()) std::abort();
+  return std::move(*pairs);
+}
 
 PreppedCorpus Prep(const ScaleCorpus& corpus) {
   PreppedCorpus out;
@@ -139,8 +148,7 @@ SfResult RunSf(double sf) {
   internal_block::BlockBudget unbounded;  // 0 = monolithic single partition
   CandidateSet mono;
   res.block_mono_ms = OnceMs([&] {
-    mono = internal_block::PartitionedOverlapJoin(
-        *prepped.left, *prepped.right, KeepK, kOverlapK, unbounded, ctx1);
+    mono = Join(prepped, unbounded, ctx1);
   });
   res.candidates = mono.size();
 
@@ -149,12 +157,10 @@ SfResult RunSf(double sf) {
   for (size_t t : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     Executor pool(t);
     ExecutorContext ctx{&pool};
-    internal_block::PartitionedJoinStats stats;
+    TokenJoinStats stats;
     CandidateSet part;
     double ms = OnceMs([&] {
-      part = internal_block::PartitionedOverlapJoin(
-          *prepped.left, *prepped.right, KeepK, kOverlapK, budget, ctx,
-          &stats);
+      part = Join(prepped, budget, ctx, &stats);
     });
     if (!(part == mono)) {
       std::fprintf(stderr,
@@ -278,8 +284,7 @@ int RunSmoke(const char* baseline_path) {
   double mono_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     mono_ms = std::min(mono_ms, OnceMs([&] {
-      mono = internal_block::PartitionedOverlapJoin(
-          *prepped.left, *prepped.right, KeepK, kOverlapK, unbounded, ctx1);
+      mono = Join(prepped, unbounded, ctx1);
     }));
   }
 
@@ -289,14 +294,12 @@ int RunSmoke(const char* baseline_path) {
   internal_block::BlockBudget tight;
   tight.min_partition_rows = 500;
   tight.mem_budget_bytes = 1;
-  internal_block::PartitionedJoinStats stats;
+  TokenJoinStats stats;
   CandidateSet part;
   double part_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     part_ms = std::min(part_ms, OnceMs([&] {
-      part = internal_block::PartitionedOverlapJoin(
-          *prepped.left, *prepped.right, KeepK, kOverlapK, tight, ctx1,
-          &stats);
+      part = Join(prepped, tight, ctx1, &stats);
     }));
   }
   if (stats.num_partitions < 4) {

@@ -17,12 +17,13 @@ namespace emx {
 // bit-identical to a from-scratch rebuild (the property the fuzz test in
 // tests/delta_index_property_test.cc asserts after every op).
 //
-// Probe semantics match internal_block::OverlapJoinIds: posting lists are
-// PER-OCCURRENCE (a record holding token t k times contributes k postings
-// for t), and every occurrence of t in the query counts each posting, so
-// the emitted overlap is sum_v mult_query(v) * mult_record(v). Keep
-// predicates (overlap >= K, coefficient thresholds) layer on top exactly
-// as they do over the batch CSR index.
+// Probe semantics match the count kinds of internal_block::TokenJoin
+// (full-span index and probe): posting lists are PER-OCCURRENCE (a record
+// holding token t k times contributes k postings for t), and every
+// occurrence of t in the query counts each posting, so the emitted overlap
+// is sum_v mult_query(v) * mult_record(v). TokenPredicate::Keeps (overlap
+// >= K, coefficient thresholds) layers on top exactly as it does over the
+// batch CSR index.
 //
 // Record ids are dense, assigned by Add in arrival order, and stable for
 // the index's lifetime — tombstoned ids are never reused, so candidate

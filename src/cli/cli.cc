@@ -1,5 +1,6 @@
 #include "src/cli/cli.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -145,8 +146,26 @@ Result<size_t> BlockMemBudgetFromArgs(const Args& args) {
   return bytes;
 }
 
+// Reads the numeric blocker flag --`key` (`fallback` when absent) strictly:
+// a plain non-negative decimal, and a whole number when `integer`. Range
+// rules beyond that (K >= 1, t in (0, 1]) are the blocker's to enforce.
+Result<double> NumberFlag(const Args& args, const std::string& key,
+                          const std::string& fallback, bool integer) {
+  std::string raw = args.Flag(key, fallback);
+  double value = 0;
+  // 2^53: every whole number up to it converts to size_t exactly.
+  if (!ParseNonNegativeDecimal(raw, &value) ||
+      (integer && (value != std::floor(value) || value > 9007199254740992.0))) {
+    return Status::InvalidArgument(
+        "--" + key + ": expected a non-negative " +
+        (integer ? "integer" : "number") + ", got '" + raw + "'");
+  }
+  return value;
+}
+
 // Builds a blocker from --method and its parameter flags; shared by the
-// block and run subcommands. InvalidArgument on an unknown method.
+// block, run and serve subcommands. InvalidArgument on an unknown method
+// or a malformed --k, --threshold or --window.
 Result<std::shared_ptr<Blocker>> MakeBlockerFromArgs(
     const Args& args, const std::string& left_attr,
     const std::string& right_attr) {
@@ -159,18 +178,20 @@ Result<std::shared_ptr<Blocker>> MakeBlockerFromArgs(
   if (method == "ae") {
     blocker = std::make_shared<AttrEquivalenceBlocker>(left_attr, right_attr);
   } else if (method == "overlap") {
-    size_t k = static_cast<size_t>(std::atol(args.Flag("k", "3").c_str()));
-    blocker = std::make_shared<OverlapBlocker>(opts, k);
+    EMX_ASSIGN_OR_RETURN(double k, NumberFlag(args, "k", "3", true));
+    blocker = std::make_shared<OverlapBlocker>(opts, static_cast<size_t>(k));
   } else if (method == "coeff") {
-    double t = std::atof(args.Flag("threshold", "0.7").c_str());
+    EMX_ASSIGN_OR_RETURN(double t,
+                         NumberFlag(args, "threshold", "0.7", false));
     blocker = std::make_shared<OverlapCoefficientBlocker>(opts, t);
   } else if (method == "jaccard") {
-    double t = std::atof(args.Flag("threshold", "0.7").c_str());
+    EMX_ASSIGN_OR_RETURN(double t,
+                         NumberFlag(args, "threshold", "0.7", false));
     blocker = std::make_shared<JaccardJoinBlocker>(opts, t);
   } else if (method == "snb") {
-    size_t w = static_cast<size_t>(std::atol(args.Flag("window", "5").c_str()));
-    blocker =
-        std::make_shared<SortedNeighborhoodBlocker>(left_attr, right_attr, w);
+    EMX_ASSIGN_OR_RETURN(double w, NumberFlag(args, "window", "5", true));
+    blocker = std::make_shared<SortedNeighborhoodBlocker>(
+        left_attr, right_attr, static_cast<size_t>(w));
   } else {
     return Status::InvalidArgument("unknown --method '" + method +
                                    "' (ae|overlap|coeff|jaccard|snb)");
@@ -343,11 +364,13 @@ int CmdDedupe(const Args& args, const ExecutorContext& ctx, std::string& out,
   if (method == "ae") {
     blocker = std::make_unique<AttrEquivalenceBlocker>(attr, attr);
   } else if (method == "overlap") {
-    size_t k = static_cast<size_t>(std::atol(args.Flag("k", "3").c_str()));
-    blocker = std::make_unique<OverlapBlocker>(opts, k);
+    auto k = NumberFlag(args, "k", "3", true);
+    if (!k.ok()) return Fail(err, k.status().message());
+    blocker = std::make_unique<OverlapBlocker>(opts, static_cast<size_t>(*k));
   } else if (method == "jaccard") {
-    double t = std::atof(args.Flag("threshold", "0.7").c_str());
-    blocker = std::make_unique<JaccardJoinBlocker>(opts, t);
+    auto t = NumberFlag(args, "threshold", "0.7", false);
+    if (!t.ok()) return Fail(err, t.status().message());
+    blocker = std::make_unique<JaccardJoinBlocker>(opts, *t);
   } else {
     return Fail(err, "unknown --method '" + method + "' (ae|overlap|jaccard)");
   }
@@ -534,10 +557,15 @@ int CmdRun(const Args& args, const ExecutorContext& ctx, std::string& out,
   }
 
   const std::string matcher_name = args.Flag("matcher", "tree");
-  const std::string model_fp = HashHex(Fnv1a64(
-      WriteCsvString(*left) + "\x1f" + WriteCsvString(*right) + "\x1f" +
-      SerializeLabelsForFingerprint(decided) + "\x1f" + matcher_name +
-      "\x1f" + Join(features->names(), ",")));
+  // The model checkpoint's key. It serializes both tables, so it is built
+  // only when a checkpoint store is open to use it.
+  std::string model_fp;
+  if (store) {
+    model_fp = HashHex(Fnv1a64(
+        WriteCsvString(*left) + "\x1f" + WriteCsvString(*right) + "\x1f" +
+        SerializeLabelsForFingerprint(decided) + "\x1f" + matcher_name +
+        "\x1f" + Join(features->names(), ",")));
+  }
 
   std::shared_ptr<MlMatcher> matcher;
   if (store && resume) {

@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 namespace emx {
 
@@ -119,6 +120,22 @@ bool ParseByteSize(std::string_view s, size_t* out) {
   }
   if (multiplier != 1 && value > UINT64_MAX / multiplier) return false;
   *out = static_cast<size_t>(value * multiplier);
+  return true;
+}
+
+bool ParseNonNegativeDecimal(std::string_view s, double* out) {
+  size_t digits = 0, points = 0;
+  for (char c : s) {
+    if (c >= '0' && c <= '9') {
+      ++digits;
+    } else if (c == '.') {
+      ++points;
+    } else {
+      return false;
+    }
+  }
+  if (digits == 0 || points > 1) return false;
+  *out = std::strtod(std::string(s).c_str(), nullptr);
   return true;
 }
 

@@ -42,6 +42,12 @@ bool IsAllDigits(std::string_view s);
 // Used by the --block-mem-budget flag and the partitioned blocking engine.
 bool ParseByteSize(std::string_view s, size_t* out);
 
+// Parses a plain non-negative decimal — digits with an optional fraction,
+// e.g. "3", "0.7", ".5". No sign, exponent, whitespace, "nan"/"inf" or
+// trailing bytes: returns false on anything else. Used by the blocker
+// flags (--k, --threshold, --window).
+bool ParseNonNegativeDecimal(std::string_view s, double* out);
+
 // True if `prefix`/`suffix` bounds `s`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

@@ -315,16 +315,6 @@ std::shared_ptr<const PreparedColumn> PrepCache::PrepUncached(
   return Build(column, nullptr, options, tokenizer, ctx);
 }
 
-std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string_view> out;
-  out.reserve(interner_->size());
-  for (size_t id = 0; id < interner_->size(); ++id) {
-    out.push_back(interner_->TokenString(static_cast<uint32_t>(id)));
-  }
-  return out;
-}
-
 void PrepCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   cache_.clear();

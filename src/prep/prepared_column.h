@@ -148,13 +148,6 @@ class PrepCache {
       const std::vector<Value>& column, const PrepOptions& options,
       const Tokenizer* tokenizer, const ExecutorContext& ctx = {});
 
-  // Snapshot of id -> token string for every token interned so far. The
-  // views point at interner storage, which is append-only and
-  // reference-stable, so they stay valid for the cache's lifetime. Used by
-  // the similarity join to order tokens by (frequency, string) without
-  // racing a concurrent build.
-  std::vector<std::string_view> TokenStringsSnapshot() const;
-
   // Drops all cache entries (outstanding shared_ptrs stay alive). The
   // interner and its id assignments are retained. Must not run concurrently
   // with a Get() consumer that is still pairing up spans.

@@ -59,13 +59,6 @@ struct MatchService::QuerySpec {
   std::string key;
 };
 
-// One blocker's survival predicate over a shared index probe:
-// keep(query_tokens, record_tokens, overlap).
-struct MatchService::BlockPredicate {
-  size_t min_left_tokens = 1;  // probe skipped below this query size
-  internal_block::OverlapKeepFn keep;
-};
-
 // One mutable blocking index plus every predicate that probes it — the
 // paper's overlap + overlap-coefficient pair on the same attribute share
 // one index, exactly as they share one prepped column in the batch path.
@@ -73,7 +66,7 @@ struct MatchService::IndexGroup {
   int query_spec = -1;
   int corpus_prep = -1;
   DeltaTokenIndex index{0};
-  std::vector<BlockPredicate> preds;
+  std::vector<TokenPredicate> preds;
 };
 
 struct MatchService::FeatureBinding {
@@ -184,26 +177,19 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   // against a delta index; equality-style blocking belongs in positive
   // rules (which Lookup evaluates directly).
   for (const std::shared_ptr<Blocker>& b : workflow.blockers()) {
-    const OverlapBlockerOptions* bopts = nullptr;
-    std::shared_ptr<Tokenizer> tok;
-    BlockPredicate pred;
-    auto replay = [&](const auto& blocker) {
-      bopts = &blocker.options();
-      tok = blocker.tokenizer();
-      pred.min_left_tokens = blocker.min_left_tokens();
-      pred.keep = blocker.keep();
-    };
-    if (const auto* ob = dynamic_cast<const OverlapBlocker*>(b.get())) {
-      replay(*ob);
-    } else if (const auto* cb =
-                   dynamic_cast<const OverlapCoefficientBlocker*>(b.get())) {
-      replay(*cb);
-    } else {
+    // The delta index counts overlaps exactly, so it serves the count
+    // kinds; Jaccard's prefix join has no resident form.
+    const auto* tb = dynamic_cast<const TokenJoinBlocker*>(b.get());
+    if (tb == nullptr ||
+        tb->predicate().kind == TokenPredicate::Kind::kJaccard) {
       return Status::InvalidArgument(
           "MatchService: blocker '" + b->name() +
           "' is not a token-overlap blocker; express it as a positive rule "
           "or block on a token attribute");
     }
+    EMX_RETURN_IF_ERROR(tb->predicate().Validate());
+    const OverlapBlockerOptions* bopts = &tb->options();
+    const std::shared_ptr<Tokenizer>& tok = tb->tokenizer();
     PrepOptions po = internal_block::ToPrepOptions(*bopts);
     int qs = add_query_spec(bopts->left_attr, po, tok);
     EMX_ASSIGN_OR_RETURN(int cp, add_corpus_prep(bopts->right_attr, po, tok));
@@ -221,7 +207,7 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
       group = owned.get();
       svc->index_groups_.push_back(std::move(owned));
     }
-    group->preds.push_back(std::move(pred));
+    group->preds.push_back(tb->predicate());
   }
 
   // Features → bindings (prep specs identical to BindFeatures in the batch
@@ -303,7 +289,7 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   double rules_us = MicrosSince(t0);
 
   // Stage: block — prep the query record once per spec, then probe each
-  // index and replay every blocker's keep predicate.
+  // index and replay every blocker's TokenPredicate.
   t0 = Clock::now();
   std::vector<std::shared_ptr<const PreparedColumn>> qpreps(
       query_specs_.size());
@@ -323,16 +309,11 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
     for (const auto& g : index_groups_) {
       const PreparedColumn& q = *qpreps[g->query_spec];
       IdSpan qids = q.ids(0);
-      std::vector<const BlockPredicate*> eligible;
-      eligible.reserve(g->preds.size());
-      for (const BlockPredicate& p : g->preds) {
-        if (qids.size >= p.min_left_tokens) eligible.push_back(&p);
-      }
-      if (eligible.empty()) continue;
+      if (qids.empty()) continue;  // an empty query record never pairs
       g->index.Probe(qids, &scratch, [&](uint32_t r, uint32_t overlap) {
         size_t rsize = g->index.record_ids(r).size;
-        for (const BlockPredicate* p : eligible) {
-          if (p->keep(qids.size, rsize, overlap)) {
+        for (const TokenPredicate& p : g->preds) {
+          if (p.Keeps(qids.size, rsize, overlap)) {
             blocked.push_back(r);
             break;
           }

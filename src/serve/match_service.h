@@ -67,7 +67,7 @@ struct MatchServiceStats {
   size_t live_records = 0;
   size_t total_records = 0;
   // Per-stage lookup latency over the ring window.
-  LatencySummary block;      // query prep + index probe + keep predicates
+  LatencySummary block;      // query prep + index probe + token predicates
   LatencySummary vectorize;  // PairBatch fill + imputation
   LatencySummary score;      // forest inference + thresholding
   LatencySummary rules;      // positive scan + negative filtering
@@ -84,7 +84,7 @@ struct MatchServiceStats {
 // Lookup(query, row) answers "which corpus records match this record" with
 // results BIT-IDENTICAL to running the batch workflow over (query-table,
 // corpus) and restricting to that query row: same candidate records (the
-// delta index replays each blocker's keep predicate over identical token
+// delta index replays each blocker's TokenPredicate over identical token
 // multisets), same feature doubles (ScoreFeature over the prepared query
 // record and corpus segments, the batch vectorizer's one scoring path),
 // same probabilities, same rule flips. match_service_test asserts this for
@@ -149,7 +149,6 @@ class MatchService {
  private:
   struct CorpusPrep;     // one (attr, prep options, tokenizer) column family
   struct QuerySpec;      // query-side prep descriptor
-  struct BlockPredicate; // one blocker's keep predicate over a shared index
   struct IndexGroup;     // one delta index + the predicates probing it
   struct FeatureBinding; // feature → (query spec, corpus column/prep) wiring
   struct LatencyRing;

@@ -99,6 +99,88 @@ TEST(CliTest, BlockRejectsUnknownMethod) {
   EXPECT_NE(r.err.find("unknown --method"), std::string::npos);
 }
 
+// --k, --threshold and --window parse strictly in block, dedupe and run:
+// non-numeric, negative and trailing-junk values exit 1 naming the flag,
+// instead of running as K=0 or K=2^64-1.
+TEST(CliTest, BlockerFlagsParseStrictly) {
+  std::string left = WriteTemp("sl.csv", kLeftCsv);
+  std::string right = WriteTemp("sr.csv", kRightCsv);
+  struct Case {
+    std::string method;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {"overlap", "--k=abc"},          {"overlap", "--k=-1"},
+      {"overlap", "--k=3x"},           {"overlap", "--k=2.5"},
+      {"overlap", "--k="},             {"overlap", "--k= 3"},
+      {"coeff", "--threshold=abc"},    {"coeff", "--threshold=-0.5"},
+      {"jaccard", "--threshold=nan"},  {"jaccard", "--threshold=-1"},
+      {"jaccard", "--threshold=0.7x"}, {"jaccard", "--threshold=1e-1"},
+      {"jaccard", "--threshold=inf"},  {"snb", "--window=-1"},
+      {"snb", "--window=abc"},         {"jaccard", "--threshold=0..5"},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.flag.substr(0, c.flag.find('=') + 1);
+    const std::string flag_name = name.substr(0, name.size() - 1) + ":";
+    CliResult block = RunEmx({"block", left, right, "--method=" + c.method,
+                              "--left-attr=Name", c.flag});
+    EXPECT_EQ(block.code, 1) << c.flag;
+    EXPECT_NE(block.err.find(flag_name), std::string::npos)
+        << c.flag << ": " << block.err;
+    if (c.method == "overlap" || c.method == "jaccard") {
+      CliResult dedupe = RunEmx(
+          {"dedupe", left, "--method=" + c.method, "--left-attr=Name", c.flag});
+      EXPECT_EQ(dedupe.code, 1) << c.flag;
+      EXPECT_NE(dedupe.err.find(flag_name), std::string::npos)
+          << c.flag << ": " << dedupe.err;
+    }
+  }
+  // Well-formed values still run.
+  for (const std::string& flag : {"--k=3", "--k=1"}) {
+    EXPECT_EQ(RunEmx({"block", left, right, "--method=overlap",
+                      "--left-attr=Name", flag})
+                  .code,
+              0)
+        << flag;
+  }
+  for (const std::string& flag : {"--threshold=0.5", "--threshold=.5",
+                                  "--threshold=1"}) {
+    EXPECT_EQ(RunEmx({"block", left, right, "--method=jaccard",
+                      "--left-attr=Name", flag})
+                  .code,
+              0)
+        << flag;
+  }
+}
+
+// Parsed but out-of-range thresholds reach the blocker, which rejects them
+// with a typed InvalidArgument (the Jaccard prefix once overran the row:
+// SIGSEGV for 0 and 2).
+TEST(CliTest, BlockRejectsOutOfRangeThresholds) {
+  std::string left = WriteTemp("tl.csv", kLeftCsv);
+  std::string right = WriteTemp("tr.csv", kRightCsv);
+  const std::vector<std::vector<std::string>> cases = {
+      {"--method=jaccard", "--threshold=0"},
+      {"--method=jaccard", "--threshold=2"},
+      {"--method=jaccard", "--threshold=0.000"},
+      {"--method=coeff", "--threshold=0"},
+      {"--method=coeff", "--threshold=1.5"},
+      {"--method=overlap", "--k=0"},
+  };
+  for (const auto& c : cases) {
+    CliResult r =
+        RunEmx({"block", left, right, c[0], c[1], "--left-attr=Name"});
+    EXPECT_EQ(r.code, 1) << c[0] << " " << c[1];
+    EXPECT_NE(r.err.find("InvalidArgument"), std::string::npos)
+        << c[0] << " " << c[1] << ": " << r.err;
+  }
+  CliResult dedupe = RunEmx({"dedupe", left, "--method=jaccard",
+                             "--threshold=2", "--left-attr=Name"});
+  EXPECT_EQ(dedupe.code, 1);
+  EXPECT_NE(dedupe.err.find("InvalidArgument"), std::string::npos)
+      << dedupe.err;
+}
+
 TEST(CliTest, MatchEndToEnd) {
   std::string left = WriteTemp("ml.csv", kLeftCsv);
   std::string right = WriteTemp("mr.csv", kRightCsv);
@@ -224,6 +306,24 @@ TEST(CliTest, RunEndToEndWritesProvenancedMatches) {
   EXPECT_EQ(matches->num_rows(), 2u);
   ASSERT_TRUE(matches->schema().Contains("provenance"));
   EXPECT_EQ(matches->at(0, "provenance").AsString(), "ml");
+}
+
+TEST(CliTest, RunRejectsMalformedBlockerFlags) {
+  RunFixture f = MakeRunFixture("badflags");
+  for (const std::string& flag : {"--k=abc", "--k=-1"}) {
+    std::vector<std::string> args = RunArgs(f);
+    args[3] = "--method=overlap";
+    args.push_back(flag);
+    CliResult r = RunEmx(args);
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("--k:"), std::string::npos) << flag << ": " << r.err;
+  }
+  std::vector<std::string> args = RunArgs(f);
+  args[3] = "--method=jaccard";
+  args.push_back("--threshold=0.5junk");
+  CliResult r = RunEmx(args);
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--threshold:"), std::string::npos) << r.err;
 }
 
 TEST(CliTest, RunRequiresLabels) {

@@ -1,10 +1,14 @@
 // Million-row-scale subsystem tests: the sharded scale-factor generator's
 // determinism contract (bit-identical corpora at any thread count and shard
-// size) and the partitioned blocking engine's equivalence to the monolithic
-// join (bit-identical candidate sets at any memory budget and thread count,
-// on both the case-study corpus and a generated scale corpus).
+// size) and the partitioned token join's equivalence to the string oracle
+// in tests/oracle (bit-identical candidate sets at any memory budget and
+// thread count, on the case-study corpus, a generated scale corpus, and bag
+// tokenizers), plus the typed rejection of bad blocker thresholds.
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,12 +21,14 @@
 #include "src/block/similarity_join.h"
 #include "src/cli/cli.h"
 #include "src/core/executor.h"
+#include "src/core/random.h"
 #include "src/datagen/case_study.h"
 #include "src/datagen/preprocess.h"
 #include "src/datagen/scale_corpus.h"
 #include "src/prep/prepared_column.h"
 #include "src/table/csv.h"
 #include "src/text/tokenizer.h"
+#include "tests/oracle/block_oracle.h"
 
 namespace emx {
 namespace {
@@ -157,36 +163,47 @@ TEST(PartitionPlanTest, DeterministicForGivenShape) {
   EXPECT_EQ(a.rows_per_partition, b.rows_per_partition);
 }
 
-// --- partitioned == monolithic ----------------------------------------------
+// --- partitioned == the string oracle ---------------------------------------
 
 struct Prepped {
   std::shared_ptr<PrepCache> cache;
   std::shared_ptr<const PreparedColumn> left;
   std::shared_ptr<const PreparedColumn> right;
+  // The same columns as oracle string tokens.
+  std::vector<std::vector<std::string>> left_tokens;
+  std::vector<std::vector<std::string>> right_tokens;
 };
 
-Prepped PrepTitles(const Table& left, const Table& right) {
+Prepped PrepColumn(const Table& left, const Table& right,
+                   const std::string& attr, const Tokenizer& tok) {
   Prepped out;
   out.cache = std::make_shared<PrepCache>();
-  auto lcol = left.ColumnByName("AwardTitle");
-  auto rcol = right.ColumnByName("AwardTitle");
+  auto lcol = left.ColumnByName(attr);
+  auto rcol = right.ColumnByName(attr);
   EXPECT_TRUE(lcol.ok() && rcol.ok());
-  WhitespaceTokenizer tok;
-  PrepOptions opts{/*lowercase=*/true, /*strip_punctuation=*/true};
-  out.left = out.cache->Get(**lcol, opts, &tok);
-  out.right = out.cache->Get(**rcol, opts, &tok);
+  OverlapBlockerOptions opts;  // lowercase + strip punctuation
+  PrepOptions prep = internal_block::ToPrepOptions(opts);
+  out.left = out.cache->Get(**lcol, prep, &tok);
+  out.right = out.cache->Get(**rcol, prep, &tok);
+  out.left_tokens = oracle::TokenizeColumn(**lcol, opts, tok);
+  out.right_tokens = oracle::TokenizeColumn(**rcol, opts, tok);
   return out;
 }
 
-// Sweeps the partitioned engine over budgets x thread counts and demands
-// bit-identical output to the monolithic oracle under `keep`.
+Prepped PrepTitles(const Table& left, const Table& right) {
+  return PrepColumn(left, right, "AwardTitle", WhitespaceTokenizer());
+}
+
+// Sweeps the token join over budgets x thread counts and demands output
+// bit-identical to the string oracle under `keep`, which restates
+// `predicate` independently.
 void ExpectPartitionedMatchesMonolithic(const Prepped& p,
-                                        const internal_block::OverlapKeepFn& keep,
-                                        size_t min_left_tokens) {
+                                        const TokenPredicate& predicate,
+                                        const oracle::KeepFn& keep) {
   Executor pool1(1);
   ExecutorContext ctx1{&pool1};
-  CandidateSet oracle =
-      internal_block::OverlapJoinIds(*p.left, *p.right, keep, ctx1);
+  CandidateSet expected =
+      oracle::OverlapJoinStrings(p.left_tokens, p.right_tokens, keep, ctx1);
 
   // Budget 1B degrades to the min-rows floor (many small partitions);
   // 300KB yields a few mid-sized ones; 0 is the single-partition layout.
@@ -194,27 +211,42 @@ void ExpectPartitionedMatchesMonolithic(const Prepped& p,
     size_t budget;
     size_t floor;
   };
-  for (Config cfg : {Config{0, 1024}, Config{1, 97}, Config{300 * 1024, 256}}) {
+  for (Config cfg : {Config{0, 1024}, Config{1, 97}, Config{1, 7},
+                     Config{300 * 1024, 256}}) {
     internal_block::BlockBudget budget;
     budget.mem_budget_bytes = cfg.budget;
     budget.min_partition_rows = cfg.floor;
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       Executor pool(threads);
       ExecutorContext ctx{&pool};
-      internal_block::PartitionedJoinStats stats;
-      CandidateSet got = internal_block::PartitionedOverlapJoin(
-          *p.left, *p.right, keep, min_left_tokens, budget, ctx, &stats);
-      EXPECT_TRUE(got == oracle)
-          << "budget=" << cfg.budget << " threads=" << threads << " ("
-          << got.size() << " vs " << oracle.size() << " pairs, "
-          << stats.num_partitions << " partitions)";
+      TokenJoinStats stats;
+      auto got = internal_block::TokenJoin(*p.left, *p.right, predicate,
+                                           budget, ctx, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(*got == expected)
+          << "budget=" << cfg.budget << " floor=" << cfg.floor
+          << " threads=" << threads << " (" << got->size() << " vs "
+          << expected.size() << " pairs, " << stats.num_partitions
+          << " partitions)";
       EXPECT_EQ(stats.partition_ms.size(), stats.num_partitions);
-      if (cfg.budget == 1) {
+      EXPECT_EQ(stats.verified, 0u);  // the count kinds never verify
+      if (cfg.budget == 1 && p.right->rows() > cfg.floor) {
         EXPECT_GT(stats.num_partitions, 1u);
       }
     }
   }
 }
+
+bool KeepK3(size_t, size_t, size_t overlap) { return overlap >= 3; }
+
+bool KeepCoefficient07(size_t la, size_t lb, size_t overlap) {
+  size_t mn = la < lb ? la : lb;
+  return mn > 0 &&
+         static_cast<double>(overlap) >= 0.7 * static_cast<double>(mn);
+}
+
+const TokenPredicate kOverlapK3{TokenPredicate::Kind::kOverlap, 3};
+const TokenPredicate kCoefficient07{TokenPredicate::Kind::kCoefficient, 0.7};
 
 TEST(PartitionedBlockerTest, MatchesMonolithicOnCaseStudyOverlapK3) {
   auto data = GenerateCaseStudy();
@@ -222,9 +254,7 @@ TEST(PartitionedBlockerTest, MatchesMonolithicOnCaseStudyOverlapK3) {
   auto tables = PreprocessCaseStudy(*data);
   ASSERT_TRUE(tables.ok());
   Prepped p = PrepTitles(tables->umetrics, tables->usda);
-  ExpectPartitionedMatchesMonolithic(
-      p, [](size_t, size_t, size_t overlap) { return overlap >= 3; },
-      /*min_left_tokens=*/3);
+  ExpectPartitionedMatchesMonolithic(p, kOverlapK3, KeepK3);
 }
 
 TEST(PartitionedBlockerTest, MatchesMonolithicOnCaseStudyCoefficient) {
@@ -233,14 +263,7 @@ TEST(PartitionedBlockerTest, MatchesMonolithicOnCaseStudyCoefficient) {
   auto tables = PreprocessCaseStudy(*data);
   ASSERT_TRUE(tables.ok());
   Prepped p = PrepTitles(tables->umetrics, tables->usda);
-  ExpectPartitionedMatchesMonolithic(
-      p,
-      [](size_t la, size_t lb, size_t overlap) {
-        size_t mn = la < lb ? la : lb;
-        return mn > 0 && static_cast<double>(overlap) >=
-                             0.7 * static_cast<double>(mn);
-      },
-      /*min_left_tokens=*/1);
+  ExpectPartitionedMatchesMonolithic(p, kCoefficient07, KeepCoefficient07);
 }
 
 TEST(PartitionedBlockerTest, MatchesMonolithicOnScaleCorpusSf10) {
@@ -248,9 +271,90 @@ TEST(PartitionedBlockerTest, MatchesMonolithicOnScaleCorpusSf10) {
   opts.scale_factor = 10.0;  // 10k rows per side
   ScaleCorpus corpus = MustGenerate(opts);
   Prepped p = PrepTitles(corpus.left, corpus.right);
-  ExpectPartitionedMatchesMonolithic(
-      p, [](size_t, size_t, size_t overlap) { return overlap >= 3; },
-      /*min_left_tokens=*/3);
+  ExpectPartitionedMatchesMonolithic(p, kOverlapK3, KeepK3);
+}
+
+// Bag tokenizers (unique() unset): the count kinds count per occurrence —
+// a shared token v adds mult_left(v)·mult_right(v) — exactly as the string
+// oracle does, including rows shorter than K whose partner repeats a token.
+Table BagTable(uint64_t seed, size_t rows) {
+  RandomEngine rng(seed);
+  Table t(Schema({{"T", DataType::kString}}));
+  for (size_t i = 0; i < rows; ++i) {
+    size_t words = rng.NextBelow(7);  // 0..6 tokens, so some rows are empty
+    std::string s;
+    for (size_t w = 0; w < words; ++w) {
+      if (!s.empty()) s += ' ';
+      s += std::string(1, static_cast<char>('a' + rng.NextBelow(5)));
+    }
+    EXPECT_TRUE(t.AppendRow({Value(s)}).ok());
+  }
+  return t;
+}
+
+TEST(TokenJoinOracleTest, BagTokenizerCountKindsMatchStringOracle) {
+  WhitespaceTokenizer bag;
+  bag.set_unique(false);
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Table l = BagTable(seed, 60), r = BagTable(seed + 100, 70);
+    Prepped p = PrepColumn(l, r, "T", bag);
+    ExpectPartitionedMatchesMonolithic(p, kOverlapK3, KeepK3);
+    ExpectPartitionedMatchesMonolithic(p, kCoefficient07, KeepCoefficient07);
+  }
+}
+
+TEST(TokenJoinOracleTest, BagOverlapCountsOccurrenceProducts) {
+  Table l = *ReadCsvString("T\nx x x y\nx\n");
+  Table r = *ReadCsvString("T\nx z w\nx x x\n");
+  OverlapBlockerOptions opts;
+  opts.left_attr = "T";
+  opts.right_attr = "T";
+  auto bag = std::make_shared<WhitespaceTokenizer>();
+  bag->set_unique(false);
+  auto pairs = OverlapBlocker(opts, 3, bag).Block(l, r);
+  ASSERT_TRUE(pairs.ok());
+  // "x x x y" · "x z w": 3·1 = 3. "x x x y" · "x x x": 3·3 = 9. "x" ·
+  // "x x x": 1·3 = 3, though the left row has fewer than K tokens.
+  EXPECT_EQ(*pairs, CandidateSet({{0, 0}, {0, 1}, {1, 1}}));
+  // Under set semantics every pair shares one token.
+  EXPECT_TRUE(OverlapBlocker(opts, 3).Block(l, r)->empty());
+}
+
+// Every bad threshold is a typed InvalidArgument from Block, for every
+// token-join blocker — never a crash or a silent empty result.
+TEST(TokenPredicateTest, BlockersRejectBadThresholds) {
+  Table t = *ReadCsvString("T\na b c\na b d\n");
+  OverlapBlockerOptions opts;
+  opts.left_attr = "T";
+  opts.right_attr = "T";
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::unique_ptr<TokenJoinBlocker>> bad;
+  bad.push_back(std::make_unique<OverlapBlocker>(opts, 0));
+  for (double v : {0.0, 2.0, -1.0, nan, inf, -0.5, 1.0000001}) {
+    bad.push_back(std::make_unique<OverlapCoefficientBlocker>(opts, v));
+    bad.push_back(std::make_unique<JaccardJoinBlocker>(opts, v));
+  }
+  for (const auto& b : bad) {
+    auto pairs = b->Block(t, t);
+    ASSERT_FALSE(pairs.ok()) << b->name();
+    EXPECT_EQ(pairs.status().code(), StatusCode::kInvalidArgument)
+        << b->name();
+    EXPECT_EQ(b->predicate().Validate().code(), StatusCode::kInvalidArgument)
+        << b->name();
+  }
+  // The bounds themselves are valid.
+  EXPECT_TRUE(OverlapBlocker(opts, 1).Block(t, t).ok());
+  EXPECT_TRUE(OverlapCoefficientBlocker(opts, 1.0).Block(t, t).ok());
+  EXPECT_TRUE(JaccardJoinBlocker(opts, 1.0).Block(t, t).ok());
+  EXPECT_TRUE(JaccardJoinBlocker(opts, 1e-9).Block(t, t).ok());
+}
+
+TEST(TokenPredicateTest, NonIntegerOverlapKIsRejected) {
+  TokenPredicate k{TokenPredicate::Kind::kOverlap, 2.5};
+  EXPECT_EQ(k.Validate().code(), StatusCode::kInvalidArgument);
+  k.threshold = 2;
+  EXPECT_TRUE(k.Validate().ok());
 }
 
 TEST(PartitionedBlockerTest, OverlapBlockerHonorsMemBudgetOption) {
@@ -286,13 +390,16 @@ TEST(JaccardJoinTest, BudgetInvariantCandidatesAndVerifiedCount) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     Executor pool(threads);
     ExecutorContext ctx{&pool};
-    BlockStats sa, sb;
+    TokenJoinStats sa, sb;
     auto ca = a.BlockWithStats(tables->umetrics, tables->usda, &sa, ctx);
     auto cb = b.BlockWithStats(tables->umetrics, tables->usda, &sb, ctx);
     ASSERT_TRUE(ca.ok() && cb.ok());
     EXPECT_TRUE(*ca == *cb) << "threads=" << threads;
     EXPECT_EQ(sa.verified, sb.verified) << "threads=" << threads;
-    EXPECT_FALSE(ca->empty());
+    // The prefix and size filters of the earlier per-blocker join verified
+    // exactly these pairs on this fixture; the shared engine must too.
+    EXPECT_EQ(sa.verified, 4095u) << "threads=" << threads;
+    EXPECT_EQ(ca->size(), 1497u) << "threads=" << threads;
   }
 }
 

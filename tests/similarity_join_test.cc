@@ -35,7 +35,7 @@ TEST(JaccardJoinTest, SizeFilterExcludesIncompatibleLengths) {
   opts.left_attr = "T";
   opts.right_attr = "T";
   JaccardJoinBlocker join(opts, 0.8);
-  BlockStats stats;
+  TokenJoinStats stats;
   auto c = join.BlockWithStats(l, r, &stats);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->empty());
@@ -68,7 +68,7 @@ TEST_P(JaccardJoinEquivalenceTest, AgreesWithBruteForce) {
   opts.left_attr = "T";
   opts.right_attr = "T";
   JaccardJoinBlocker join(opts, threshold);
-  BlockStats stats;
+  TokenJoinStats stats;
   auto filtered = join.BlockWithStats(l, r, &stats);
   ASSERT_TRUE(filtered.ok());
 
@@ -90,6 +90,69 @@ TEST_P(JaccardJoinEquivalenceTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JaccardJoinEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+// Bag tokenizers (unique() unset): Jaccard stays a set measure, so
+// prefixes and the size filter count distinct tokens. "a a a a b" against
+// "b" has set Jaccard exactly 1/2; a multiset size of 5 used to fail the
+// size filter and drop the pair.
+TEST(JaccardJoinTest, BagTokenizerUsesDistinctTokens) {
+  Table l = *ReadCsvString("T\na a a a b\n");
+  Table r = *ReadCsvString("T\nb\n");
+  OverlapBlockerOptions opts;
+  opts.left_attr = "T";
+  opts.right_attr = "T";
+  auto bag = std::make_shared<WhitespaceTokenizer>();
+  bag->set_unique(false);
+  auto c = JaccardJoinBlocker(opts, 0.5, bag).Block(l, r);
+  ASSERT_TRUE(c.ok());
+  EXPECT_TRUE(c->Contains({0, 0}));
+  EXPECT_TRUE(JaccardJoinBlocker(opts, 0.51, bag).Block(l, r)->empty());
+}
+
+class JaccardJoinBagTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(JaccardJoinBagTest, AgreesWithSetBruteForce) {
+  RandomEngine rng(GetParam());
+  auto make_table = [&rng](size_t rows) {
+    Table t(Schema({{"T", DataType::kString}}));
+    for (size_t i = 0; i < rows; ++i) {
+      size_t words = rng.NextBelow(8);
+      std::string s;
+      for (size_t w = 0; w < words; ++w) {
+        if (!s.empty()) s += ' ';
+        s += std::string(1, static_cast<char>('a' + rng.NextBelow(6)));
+      }
+      (void)t.AppendRow({Value(s)});
+    }
+    return t;
+  };
+  Table l = make_table(30), r = make_table(30);
+  double threshold = 0.2 + 0.1 * static_cast<double>(rng.NextBelow(9));
+
+  OverlapBlockerOptions opts;
+  opts.left_attr = "T";
+  opts.right_attr = "T";
+  auto bag = std::make_shared<WhitespaceTokenizer>();
+  bag->set_unique(false);
+  auto got = JaccardJoinBlocker(opts, threshold, bag).Block(l, r);
+  ASSERT_TRUE(got.ok());
+
+  std::vector<RecordPair> brute;
+  for (uint32_t i = 0; i < l.num_rows(); ++i) {
+    for (uint32_t j = 0; j < r.num_rows(); ++j) {
+      auto ta = bag->Tokenize(l.at(i, 0).AsString());
+      auto tb = bag->Tokenize(r.at(j, 0).AsString());
+      if (ta.empty() || tb.empty()) continue;  // an empty record never pairs
+      if (JaccardSimilarity(ta, tb) >= threshold) brute.push_back({i, j});
+    }
+  }
+  EXPECT_EQ(*got, CandidateSet(std::move(brute))) << "threshold=" << threshold;
+  // With the default unique tokenizer the answer is the same sets'.
+  EXPECT_EQ(*got, *JaccardJoinBlocker(opts, threshold).Block(l, r));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JaccardJoinBagTest,
+                         ::testing::Range<uint64_t>(0, 20));
 
 // --- sorted neighborhood ------------------------------------------------------
 

@@ -1,5 +1,5 @@
 // Equivalence suite for the token-id kernel layer: the interner, the
-// id-span set kernels, PreparedColumn/PrepCache, the id-based overlap join,
+// id-span set kernels, PreparedColumn/PrepCache, the token join,
 // and the prepared vectorize path must all produce BIT-IDENTICAL scores and
 // candidate sets to the legacy string paths — on a randomized corpus
 // including empty, null, all-punctuation, and duplicate-token values, at
@@ -24,6 +24,7 @@
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
 #include "src/workflow/em_workflow.h"
+#include "tests/oracle/block_oracle.h"
 #include "tests/oracle/feature_oracle.h"
 
 namespace emx {
@@ -181,7 +182,7 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
   OverlapBlockerOptions legacy_opts;
   legacy_opts.lowercase = true;
   legacy_opts.strip_punctuation = true;
-  auto legacy = internal_block::TokenizeColumn(*col, legacy_opts, ws);
+  auto legacy = oracle::TokenizeColumn(*col, legacy_opts, ws);
 
   ASSERT_EQ(prep->rows(), col->size());
   for (size_t r = 0; r < prep->rows(); ++r) {
@@ -233,22 +234,23 @@ TEST(OverlapJoinTest, IdJoinMatchesStringJoinAt128Threads) {
   opts.lowercase = true;
   opts.strip_punctuation = true;
   WhitespaceTokenizer ws;
-  auto lt = internal_block::TokenizeColumn(*lcol, opts, ws);
-  auto rt = internal_block::TokenizeColumn(*rcol, opts, ws);
+  auto lt = oracle::TokenizeColumn(*lcol, opts, ws);
+  auto rt = oracle::TokenizeColumn(*rcol, opts, ws);
 
   PrepCache cache;
   auto lp = cache.Get(*lcol, internal_block::ToPrepOptions(opts), &ws);
   auto rp = cache.Get(*rcol, internal_block::ToPrepOptions(opts), &ws);
 
-  internal_block::OverlapKeepFn keep = [](size_t, size_t, size_t overlap) {
+  oracle::KeepFn keep = [](size_t, size_t, size_t overlap) {
     return overlap >= 1;
   };
+  TokenPredicate k1{TokenPredicate::Kind::kOverlap, 1};
   for (size_t threads : {1u, 2u, 8u}) {
     Executor pool(threads);
     ExecutorContext ctx{&pool};
-    CandidateSet legacy =
-        internal_block::OverlapJoinStrings(lt, rt, keep, ctx);
-    CandidateSet ids = internal_block::OverlapJoinIds(*lp, *rp, keep, ctx);
+    CandidateSet legacy = oracle::OverlapJoinStrings(lt, rt, keep, ctx);
+    CandidateSet ids =
+        *internal_block::TokenJoin(*lp, *rp, k1, /*budget=*/{}, ctx);
     EXPECT_TRUE(legacy == ids) << "threads=" << threads << " legacy="
                                << legacy.size() << " ids=" << ids.size();
     EXPECT_GT(ids.size(), 0u);  // corpus guarantees some overlap
@@ -269,7 +271,7 @@ TEST(OverlapBlockerTest, BlockerOutputsIdenticalAcrossThreadCounts) {
   ExecutorContext ctx1{&pool1};
   auto k2_base = k2.Block(left, right, ctx1);
   auto coeff_base = coeff.Block(left, right, ctx1);
-  BlockStats stats_base;
+  TokenJoinStats stats_base;
   auto jac_base = jac.BlockWithStats(left, right, &stats_base, ctx1);
   ASSERT_TRUE(k2_base.ok() && coeff_base.ok() && jac_base.ok());
 
@@ -278,7 +280,7 @@ TEST(OverlapBlockerTest, BlockerOutputsIdenticalAcrossThreadCounts) {
     ExecutorContext ctx{&pool};
     auto k2_t = k2.Block(left, right, ctx);
     auto coeff_t = coeff.Block(left, right, ctx);
-    BlockStats stats;
+    TokenJoinStats stats;
     auto jac_t = jac.BlockWithStats(left, right, &stats, ctx);
     ASSERT_TRUE(k2_t.ok() && coeff_t.ok() && jac_t.ok());
     EXPECT_TRUE(*k2_base == *k2_t) << "threads=" << threads;
@@ -302,9 +304,9 @@ TEST(JaccardJoinTest, IdPathLosslessVsBruteForce) {
   ASSERT_TRUE(got.ok());
 
   WhitespaceTokenizer ws;
-  auto lt = internal_block::TokenizeColumn(*(*left.ColumnByName("title")),
+  auto lt = oracle::TokenizeColumn(*(*left.ColumnByName("title")),
                                            opts, ws);
-  auto rt = internal_block::TokenizeColumn(*(*right.ColumnByName("title")),
+  auto rt = oracle::TokenizeColumn(*(*right.ColumnByName("title")),
                                            opts, ws);
   std::vector<RecordPair> expected;
   for (size_t l = 0; l < lt.size(); ++l) {
